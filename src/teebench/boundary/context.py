@@ -1,16 +1,17 @@
 """Normal-world lifecycle: contexts, sessions and crossing accounting.
 
-A session runs its trusted application either in a forked process wired
-up with a control pipe plus shared memory ("process" transport, the
-default) or inline in the calling process with identical semantics
-("inline", for CI and fast property tests). Pick with the ``transport``
-argument or the TEEBENCH_BOUNDARY_TRANSPORT environment variable.
+A session talks to its trusted application over a channel. The
+"process" channel (the default) forks the application into its own
+process wired up with a control pipe plus shared memory; the "inline"
+channel calls the same trusted-side dispatch in the calling process and
+exists for tests (``transport="inline"``).
 
-Every message crossing the control pipe counts as one world crossing and
-one injection of ``switch_cost`` wall time at the receiving side, so a
-relayed socket call costs two crossings and an open/invoke/close costs
-two. The caller's thread stays blocked for the whole invocation; it is
-the thread that services the trusted side's relayed calls.
+Every message between the two worlds is one world crossing and one
+injection of ``switch_cost`` wall time, both done by ``Session._cross``
+and nowhere else: a relayed socket call costs two crossings and an
+open/invoke/close costs two. The caller's thread stays blocked for the
+whole invocation; it is the thread that services the trusted side's
+relayed calls.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
-import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -38,23 +38,18 @@ from .protocol import (
     TeeResult,
     pack_invoke_body,
     pack_open_body,
-    pack_values,
     read_message,
-    unpack_invoke_body,
-    unpack_open_body,
     unpack_values,
     write_message,
 )
 from .regions import SharedRegion
 from .supplicant import Supplicant
-from .trusted import TrustedRuntime
+from .trusted import TrustedEndpoint
 
 DEFAULT_REGION_CAP = 64 * 1024 * 1024
 DEFAULT_SCRATCH_SIZE = TA_MEMORY_LIMIT
 
 _context_ids = itertools.count(1)
-
-Reply = namedtuple("Reply", "status body")
 
 
 @dataclass
@@ -70,25 +65,17 @@ class BoundaryStats:
         return dataclasses.asdict(self)
 
 
-class InvokeResult(namedtuple("InvokeResult", "status values")):
-    @property
-    def ok(self) -> bool:
-        return self.status == TeeResult.SUCCESS
-
-
-def _transport_from_env() -> str:
-    return os.environ.get("TEEBENCH_BOUNDARY_TRANSPORT", "process")
+InvokeResult = namedtuple("InvokeResult", "status values")
 
 
 class Context:
     """Owner of shared regions, sessions and the boundary statistics."""
 
-    def __init__(self, *, switch_cost: float = 0.0, transport: str | None = None,
+    def __init__(self, *, switch_cost: float = 0.0, transport: str = "process",
                  ta_memory_cap: int = TA_MEMORY_LIMIT,
                  region_cap: int = DEFAULT_REGION_CAP,
                  scratch_size: int = DEFAULT_SCRATCH_SIZE):
-        transport = transport or _transport_from_env()
-        if transport not in ("process", "inline"):
+        if transport not in _CHANNELS:
             raise ValueError(f"unknown boundary transport {transport!r}")
         self.id = next(_context_ids)
         self.switch_cost = switch_cost
@@ -147,10 +134,7 @@ class Context:
         self._check_live()
         if isinstance(args_regions, SharedRegion):
             args_regions = (args_regions,)
-        if self.transport == "process":
-            session: Session = _ProcessSession(self, ta_name, tuple(args_regions))
-        else:
-            session = _InlineSession(self, ta_name, tuple(args_regions))
+        session = Session(self, ta_name, tuple(args_regions))
         self._sessions.append(session)
         return session
 
@@ -185,7 +169,7 @@ def initialize_context(**kwargs) -> Context:
 class Session:
     """One bound trusted application; one in-flight invocation at a time."""
 
-    def __init__(self, ctx: Context, ta_name: str):
+    def __init__(self, ctx: Context, ta_name: str, args_regions=()):
         self._ctx = ctx
         self.ta_name = ta_name
         self.closed = False
@@ -194,10 +178,50 @@ class Session:
         self._scratch = SharedRegion(scratch_id, ctx.scratch_size, SharedMode.WHOLE)
         self._supplicant = Supplicant()
         self._known_regions: dict[int, SharedRegion] = {scratch_id: self._scratch}
+        self._note_regions(args_regions)
+        self._channel = None
+        try:
+            self._channel = _CHANNELS[ctx.transport](self)
+            body = pack_open_body(ta_name, self._scratch.descriptor,
+                                  [r.descriptor for r in args_regions])
+            status, _ = self._call(Command.OPEN, body)
+            if status == TeeResult.NOT_FOUND:
+                raise TaNotFoundError(f"no trusted application named {ta_name!r}")
+            if status != TeeResult.SUCCESS:
+                raise BoundaryError(
+                    f"opening {ta_name!r} failed with {TeeResult(status).name}"
+                )
+        except BaseException:
+            self._teardown()
+            raise
 
-    @property
-    def supplicant(self) -> Supplicant:
-        return self._supplicant
+    # -- the one place a world crossing happens ------------------------------
+
+    def _cross(self) -> None:
+        """One world switch: counted once and charged once."""
+        ctx = self._ctx
+        ctx._record(crossings=1)
+        clock.inject_delay(ctx.switch_cost)
+
+    def _call(self, command: int, body: bytes) -> tuple[int, bytes]:
+        """Enter the trusted world with a request and return with its reply."""
+        self._cross()
+        status, body = self._channel.exchange(command, body)
+        self._cross()
+        return status, body
+
+    def _serve(self, msg: Message) -> tuple[int, bytes]:
+        """Service one relayed socket call the trusted side made."""
+        self._cross()
+        status, body = self._supplicant.service(msg, self._known_regions)
+        copied = 0
+        if msg.command in (Command.SOCK_SEND, Command.SOCK_RECV) and status > 0:
+            copied = status
+        self._ctx._record(rpcs=1, copied=copied)
+        self._cross()
+        return status, body
+
+    # -- public operations -----------------------------------------------------
 
     def _begin_op(self):
         if self.closed:
@@ -209,144 +233,6 @@ class Session:
         for region in regions:
             self._known_regions[region.region_id] = region
 
-    def _service_rpc(self, msg: Message) -> tuple[int, bytes]:
-        status, body = self._supplicant.service(msg, self._known_regions)
-        copied = 0
-        if msg.command in (Command.SOCK_SEND, Command.SOCK_RECV) and status > 0:
-            copied = status
-        self._ctx._record(rpcs=1, copied=copied)
-        return status, body
-
-    def invoke(self, command: int, regions=(), values=()) -> InvokeResult:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-# --------------------------------------------------------------------------
-# process transport
-# --------------------------------------------------------------------------
-
-
-def _trusted_process_main(ta_name: str, rfd: int, wfd: int,
-                          switch_cost: float, memory_cap: int) -> None:
-    runtime = None
-    port = _ChildRelayPort(rfd, wfd, switch_cost)
-    while True:
-        msg = read_message(rfd)
-        if msg is None:
-            break
-        clock.inject_delay(switch_cost)
-        if msg.command == Command.OPEN:
-            name, scratch_desc, region_descs = unpack_open_body(msg.body)
-            try:
-                runtime = TrustedRuntime(name, port, memory_cap)
-            except KeyError:
-                write_message(wfd, Command.RETURN, status=TeeResult.NOT_FOUND)
-                break
-            status = runtime.handle_open(scratch_desc, region_descs)
-            write_message(wfd, Command.RETURN, status=status)
-        elif msg.command == Command.INVOKE:
-            ta_command, region_descs, values = unpack_invoke_body(msg.body)
-            try:
-                status, out = runtime.handle_invoke(
-                    ta_command, region_descs, tuple(values)
-                )
-            except Exception:
-                import traceback
-
-                traceback.print_exc(file=sys.stderr)
-                status, out = TeeResult.GENERIC, ()
-            write_message(wfd, Command.RETURN, status=status, body=pack_values(out))
-        elif msg.command == Command.CLOSE:
-            if runtime is not None:
-                runtime.handle_close()
-            write_message(wfd, Command.RETURN, status=TeeResult.SUCCESS)
-            break
-        else:
-            write_message(wfd, Command.RETURN, status=TeeResult.NOT_SUPPORTED)
-    os.close(rfd)
-    os.close(wfd)
-
-
-class _ChildRelayPort:
-    """Trusted-process side of the socket relay: one RPC, one round trip."""
-
-    def __init__(self, rfd: int, wfd: int, switch_cost: float):
-        self._rfd = rfd
-        self._wfd = wfd
-        self._switch_cost = switch_cost
-
-    def rpc(self, command, *, region_ref=None, body=b"", handle=0) -> Reply:
-        region_id, offset, length = region_ref or (0, 0, 0)
-        write_message(
-            self._wfd, command, region_id=region_id, offset=offset,
-            length=length, status=handle, body=body,
-        )
-        reply = read_message(self._rfd)
-        if reply is None:
-            raise BoundaryError("relay closed while waiting for a reply")
-        clock.inject_delay(self._switch_cost)
-        return Reply(reply.status, reply.body)
-
-
-class _ProcessSession(Session):
-    def __init__(self, ctx: Context, ta_name: str, args_regions):
-        super().__init__(ctx, ta_name)
-        self._note_regions(args_regions)
-        to_child_r, to_child_w = os.pipe()
-        to_parent_r, to_parent_w = os.pipe()
-        mp = _mp_get_context("fork")
-        self._proc = mp.Process(
-            target=_trusted_process_main,
-            args=(ta_name, to_child_r, to_parent_w, ctx.switch_cost,
-                  ctx.ta_memory_cap),
-            daemon=True,
-        )
-        self._proc.start()
-        os.close(to_child_r)
-        os.close(to_parent_w)
-        self._wfd = to_child_w
-        self._rfd = to_parent_r
-        try:
-            body = pack_open_body(
-                ta_name, self._scratch.descriptor,
-                [r.descriptor for r in args_regions],
-            )
-            self._send(Command.OPEN, body=body)
-            reply = self._read_reply_servicing_rpcs()
-            if reply.status == TeeResult.NOT_FOUND:
-                raise TaNotFoundError(f"no trusted application named {ta_name!r}")
-            if reply.status != TeeResult.SUCCESS:
-                raise BoundaryError(
-                    f"opening {ta_name!r} failed with {TeeResult(reply.status).name}"
-                )
-        except BaseException:
-            self._teardown()
-            self.closed = True
-            ctx._session_closed(self)
-            raise
-
-    def _send(self, command, *, region_id=0, offset=0, length=0, status=0,
-              body=b""):
-        self._ctx._record(crossings=1)
-        write_message(self._wfd, command, region_id=region_id, offset=offset,
-                      length=length, status=status, body=body)
-
-    def _read_reply_servicing_rpcs(self) -> Message:
-        """Block until the trusted side returns, relaying its socket calls."""
-        while True:
-            msg = read_message(self._rfd)
-            if msg is None:
-                raise BoundaryError("trusted process terminated unexpectedly")
-            self._ctx._record(crossings=1)
-            clock.inject_delay(self._ctx.switch_cost)
-            if msg.command == Command.RETURN:
-                return msg
-            status, body = self._service_rpc(msg)
-            self._send(Command.RETURN, status=status, body=body)
-
     def invoke(self, command: int, regions=(), values=()) -> InvokeResult:
         self._begin_op()
         try:
@@ -356,24 +242,87 @@ class _ProcessSession(Session):
             body = pack_invoke_body(
                 command, [r.descriptor for r in regions], tuple(values)
             )
-            self._send(Command.INVOKE, body=body)
-            reply = self._read_reply_servicing_rpcs()
-            return InvokeResult(TeeResult(reply.status), unpack_values(reply.body))
+            status, reply = self._call(Command.INVOKE, body)
+            return InvokeResult(TeeResult(status), unpack_values(reply))
         finally:
             self._op_lock.release()
 
     def close(self) -> None:
         self._begin_op()
         try:
-            self._send(Command.CLOSE)
-            self._read_reply_servicing_rpcs()
+            self._call(Command.CLOSE, b"")
         finally:
-            self.closed = True
             self._teardown()
-            self._ctx._session_closed(self)
             self._op_lock.release()
 
     def _teardown(self):
+        self.closed = True
+        if self._channel is not None:
+            self._channel.close()
+        self._supplicant.close_all()
+        self._scratch.release()
+        self._ctx._session_closed(self)
+
+
+# --------------------------------------------------------------------------
+# channels: how a request reaches the trusted endpoint and its reply returns
+# --------------------------------------------------------------------------
+
+
+def _trusted_process_main(rfd: int, wfd: int, memory_cap: int) -> None:
+    def rpc(command, region_id, offset, length, handle, body) -> int:
+        write_message(wfd, command, region_id=region_id, offset=offset,
+                      length=length, status=handle, body=body)
+        reply = read_message(rfd)
+        if reply is None:
+            raise BoundaryError("relay closed while waiting for a reply")
+        return reply.status
+
+    endpoint = TrustedEndpoint(rpc, memory_cap)
+    while True:
+        msg = read_message(rfd)
+        if msg is None:
+            break
+        status, body = endpoint.dispatch(msg.command, msg.body)
+        write_message(wfd, Command.RETURN, status=status, body=body)
+        if msg.command == Command.CLOSE or (
+                msg.command == Command.OPEN and status != TeeResult.SUCCESS):
+            break
+    os.close(rfd)
+    os.close(wfd)
+
+
+class _ProcessChannel:
+    """The trusted endpoint in a forked process behind two pipes."""
+
+    def __init__(self, session: Session):
+        self._serve = session._serve
+        to_child_r, to_child_w = os.pipe()
+        to_parent_r, to_parent_w = os.pipe()
+        self._proc = _mp_get_context("fork").Process(
+            target=_trusted_process_main,
+            args=(to_child_r, to_parent_w, session._ctx.ta_memory_cap),
+            daemon=True,
+        )
+        self._proc.start()
+        os.close(to_child_r)
+        os.close(to_parent_w)
+        self._wfd = to_child_w
+        self._rfd = to_parent_r
+
+    def exchange(self, command: int, body: bytes) -> tuple[int, bytes]:
+        """Send one request, relaying the trusted side's calls until RETURN."""
+        write_message(self._wfd, command, body=body)
+        while True:
+            msg = read_message(self._rfd)
+            if msg is None:
+                raise BoundaryError("trusted process terminated unexpectedly")
+            if msg.command == Command.RETURN:
+                return msg.status, msg.body
+            status, reply = self._serve(msg)
+            write_message(self._wfd, Command.RETURN, status=status, body=reply)
+
+    def close(self) -> None:
         for fd in (self._wfd, self._rfd):
             try:
                 os.close(fd)
@@ -383,94 +332,20 @@ class _ProcessSession(Session):
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=5)
-        self._supplicant.close_all()
-        self._scratch.release()
 
 
-# --------------------------------------------------------------------------
-# inline transport
-# --------------------------------------------------------------------------
+class _InlineChannel:
+    """The trusted endpoint called directly in the calling process."""
 
+    def __init__(self, session: Session):
+        def rpc(*fields) -> int:
+            return session._serve(Message(*fields))[0]
 
-class _InlineRelayPort:
-    """Same relay semantics without the pipe: direct supplicant calls."""
-
-    def __init__(self, session: "_InlineSession"):
-        self._session = session
-
-    def rpc(self, command, *, region_ref=None, body=b"", handle=0) -> Reply:
-        session = self._session
-        ctx = session._ctx
-        region_id, offset, length = region_ref or (0, 0, 0)
-        msg = Message(command, region_id, offset, length, handle, body)
-        ctx._record(crossings=1)           # secure -> normal
-        clock.inject_delay(ctx.switch_cost)
-        status, reply_body = session._service_rpc(msg)
-        ctx._record(crossings=1)           # normal -> secure
-        clock.inject_delay(ctx.switch_cost)
-        return Reply(status, reply_body)
-
-
-class _InlineSession(Session):
-    def __init__(self, ctx: Context, ta_name: str, args_regions):
-        super().__init__(ctx, ta_name)
-        self._note_regions(args_regions)
-        self._ctx._record(crossings=1)
-        clock.inject_delay(ctx.switch_cost)
-        try:
-            self._runtime = TrustedRuntime(
-                ta_name, _InlineRelayPort(self), ctx.ta_memory_cap
-            )
-        except KeyError:
-            self._ctx._record(crossings=1)
-            clock.inject_delay(ctx.switch_cost)
-            self.closed = True
-            ctx._session_closed(self)
-            self._scratch.release()
-            raise TaNotFoundError(f"no trusted application named {ta_name!r}") from None
-        status = self._runtime.handle_open(
-            self._scratch.descriptor, [r.descriptor for r in args_regions]
-        )
-        self._ctx._record(crossings=1)
-        clock.inject_delay(ctx.switch_cost)
-        if status != TeeResult.SUCCESS:
-            self.closed = True
-            ctx._session_closed(self)
-            self._scratch.release()
-            raise BoundaryError(f"opening {ta_name!r} failed")
-
-    @property
-    def runtime(self) -> TrustedRuntime:
-        return self._runtime
-
-    def invoke(self, command: int, regions=(), values=()) -> InvokeResult:
-        self._begin_op()
-        try:
-            if isinstance(regions, SharedRegion):
-                regions = (regions,)
-            self._note_regions(regions)
-            self._ctx._record(crossings=1)
-            clock.inject_delay(self._ctx.switch_cost)
-            status, out = self._runtime.handle_invoke(
-                command, [r.descriptor for r in regions], tuple(values)
-            )
-            self._ctx._record(crossings=1)
-            clock.inject_delay(self._ctx.switch_cost)
-            return InvokeResult(TeeResult(status), tuple(out))
-        finally:
-            self._op_lock.release()
+        self.endpoint = TrustedEndpoint(rpc, session._ctx.ta_memory_cap)
+        self.exchange = self.endpoint.dispatch
 
     def close(self) -> None:
-        self._begin_op()
-        try:
-            self._ctx._record(crossings=1)
-            clock.inject_delay(self._ctx.switch_cost)
-            self._runtime.handle_close()
-            self._ctx._record(crossings=1)
-            clock.inject_delay(self._ctx.switch_cost)
-        finally:
-            self.closed = True
-            self._supplicant.close_all()
-            self._scratch.release()
-            self._ctx._session_closed(self)
-            self._op_lock.release()
+        pass
+
+
+_CHANNELS = {"process": _ProcessChannel, "inline": _InlineChannel}

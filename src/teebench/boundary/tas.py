@@ -23,14 +23,17 @@ from .trusted import InvokeParams, TrustedEnv, register_ta
 _LEN = struct.Struct("<I")
 
 
-def write_json(view, payload: dict) -> None:
+def write_json(write, payload: dict) -> None:
+    """Store ``payload`` as length-prefixed JSON through ``write(offset,
+    data)``: a region's ``window_write`` or a trusted view's ``write``."""
     data = json.dumps(payload).encode()
-    view.write(0, _LEN.pack(len(data)) + data)
+    write(0, _LEN.pack(len(data)) + data)
 
 
-def read_json(view) -> dict:
-    (length,) = _LEN.unpack(view.read(0, _LEN.size))
-    return json.loads(view.read(_LEN.size, length).decode())
+def read_json(read) -> dict:
+    """Inverse of ``write_json`` through ``read(offset, length)``."""
+    (length,) = _LEN.unpack(read(0, _LEN.size))
+    return json.loads(read(_LEN.size, length).decode())
 
 
 class TrafficCommand(enum.IntEnum):
@@ -48,9 +51,9 @@ class TrafficTa:
         if len(params.regions) != 2:
             return TeeResult.BAD_PARAMETERS
         args_view, metrics_view = params.regions
-        cfg = RunConfig.from_dict(read_json(args_view))
+        cfg = RunConfig.from_dict(read_json(args_view.read))
         metrics = run_measurement(cfg, env=env)
-        write_json(metrics_view, metrics.to_dict())
+        write_json(metrics_view.write, metrics.to_dict())
         return TeeResult.SUCCESS
 
 

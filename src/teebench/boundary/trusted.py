@@ -1,5 +1,5 @@
 """Trusted-side runtime: application registry, execution environment and
-the dispatch loop shared by both transports.
+the request dispatch shared by both transports.
 
 Trusted application code never touches the OS directly. Everything it may
 use hangs off the TrustedEnv handed to its entry points: heap accounting
@@ -10,6 +10,8 @@ views and the monotonic clock.
 from __future__ import annotations
 
 import enum
+import sys
+import traceback
 from typing import Callable
 
 from .. import clock
@@ -23,6 +25,9 @@ from .protocol import (
     SocketProtocolCode,
     pack_ioctl_body,
     pack_sock_open_body,
+    pack_values,
+    unpack_invoke_body,
+    unpack_open_body,
 )
 from .regions import Lifetime, RegionDescriptor, TrustedRegionView
 from .supplicant import DISCARD_HANDLE
@@ -90,7 +95,7 @@ class TeeSocket:
                 Command.SOCK_SEND,
                 region_ref=(scratch.descriptor.region_id, 0, len(piece)),
                 handle=self.handle,
-            ).status
+            )
             if status < 0:
                 self._fail(-status)
             sent += status
@@ -106,7 +111,7 @@ class TeeSocket:
             Command.SOCK_RECV,
             region_ref=(scratch.descriptor.region_id, 0, want),
             handle=self.handle,
-        ).status
+        )
         if status < 0:
             self._fail(-status)
         return scratch.read(0, status)
@@ -115,7 +120,7 @@ class TeeSocket:
         self._check_usable()
         status = self._env.relay(
             Command.SOCK_IOCTL, body=pack_ioctl_body(code, arg), handle=self.handle
-        ).status
+        )
         if status < 0:
             self._fail(-status)
 
@@ -125,13 +130,12 @@ class TeeSocket:
         Usable in any state; querying the error is the one operation a
         failed socket still supports.
         """
-        reply = self._env.relay(Command.SOCK_ERROR, handle=self.handle)
-        return reply.status
+        return self._env.relay(Command.SOCK_ERROR, handle=self.handle)
 
     def close(self) -> None:
         if self.state is SocketState.CLOSED:
             raise TeeSocketError(9, "socket already closed")
-        status = self._env.relay(Command.SOCK_CLOSE, handle=self.handle).status
+        status = self._env.relay(Command.SOCK_CLOSE, handle=self.handle)
         self.state = SocketState.CLOSED
         if status < 0:
             self._last_errno = -status
@@ -141,17 +145,13 @@ class TeeSocket:
 class TrustedEnv:
     """Execution environment visible to trusted application code."""
 
-    def __init__(self, relay_port, memory_cap: int):
-        self._relay_port = relay_port
+    def __init__(self, rpc, memory_cap: int):
+        self._rpc = rpc
         self.memory_cap = memory_cap
         self._used = 0
         self.scratch: TrustedRegionView | None = None
 
     # -- heap accounting ----------------------------------------------------
-
-    @property
-    def memory_used(self) -> int:
-        return self._used
 
     def alloc(self, nbytes: int) -> None:
         """Reserve nbytes of the runtime heap budget or fail with OOM."""
@@ -173,10 +173,10 @@ class TrustedEnv:
 
     # -- relayed sockets -----------------------------------------------------
 
-    def relay(self, command, *, region_ref=None, body=b"", handle=0):
-        return self._relay_port.rpc(
-            command, region_ref=region_ref, body=body, handle=handle
-        )
+    def relay(self, command, *, region_ref=None, body=b"", handle=0) -> int:
+        """One relayed socket call; returns the supplicant's status."""
+        region_id, offset, length = region_ref or (0, 0, 0)
+        return self._rpc(command, region_id, offset, length, handle, body)
 
     def open_socket(self, host: str, port: int, protocol: Protocol) -> TeeSocket:
         code = (
@@ -186,7 +186,7 @@ class TrustedEnv:
         )
         status = self.relay(
             Command.SOCK_OPEN, body=pack_sock_open_body(code, host, port)
-        ).status
+        )
         if status < 0:
             raise TeeSocketError(-status)
         return TeeSocket(self, status, protocol)
@@ -207,17 +207,17 @@ class InvokeParams:
 class TrustedRuntime:
     """Dispatches session-protocol events onto one application instance.
 
-    Used directly by the inline transport and wrapped by the pipe loop in
-    the spawned process; the semantics (region caching, temporary
-    revocation, error-to-status mapping) are identical in both.
+    Driven by ``TrustedEndpoint`` on either transport, so the semantics
+    (region caching, temporary revocation, error-to-status mapping) are
+    the same in both.
     """
 
-    def __init__(self, ta_name: str, relay_port, memory_cap: int):
+    def __init__(self, ta_name: str, rpc, memory_cap: int):
         factory = ta_factory(ta_name)
         if factory is None:
             raise KeyError(ta_name)
         self.ta = factory()
-        self.env = TrustedEnv(relay_port, memory_cap)
+        self.env = TrustedEnv(rpc, memory_cap)
         self._views: dict[int, TrustedRegionView] = {}
 
     def _view_for(self, desc: RegionDescriptor) -> TrustedRegionView:
@@ -282,3 +282,43 @@ class TrustedRuntime:
             if self.env.scratch is not None:
                 self.env.scratch.revoke()
         return TeeResult.SUCCESS
+
+
+class TrustedEndpoint:
+    """Trusted end of a session: turns each OPEN, INVOKE or CLOSE request
+    into (status, reply body).
+
+    Both transports call ``dispatch``: the forked process once per pipe
+    message, the inline channel directly. An exception the runtime does
+    not map becomes GENERIC, with its traceback on stderr. ``rpc(command,
+    region_id, offset, length, handle, body)`` relays one socket call to
+    the normal world and returns its status.
+    """
+
+    def __init__(self, rpc, memory_cap: int):
+        self._rpc = rpc
+        self._memory_cap = memory_cap
+        self.runtime: TrustedRuntime | None = None
+
+    def dispatch(self, command: int, body: bytes) -> tuple[int, bytes]:
+        try:
+            if command == Command.OPEN:
+                name, scratch_desc, region_descs = unpack_open_body(body)
+                try:
+                    self.runtime = TrustedRuntime(name, self._rpc, self._memory_cap)
+                except KeyError:
+                    return TeeResult.NOT_FOUND, b""
+                return self.runtime.handle_open(scratch_desc, region_descs), b""
+            if command == Command.INVOKE:
+                ta_command, region_descs, values = unpack_invoke_body(body)
+                status, out = self.runtime.handle_invoke(
+                    ta_command, region_descs, tuple(values))
+                return status, pack_values(out)
+            if command == Command.CLOSE:
+                if self.runtime is not None:
+                    self.runtime.handle_close()
+                return TeeResult.SUCCESS, b""
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
+            return TeeResult.GENERIC, b""
+        return TeeResult.NOT_SUPPORTED, b""

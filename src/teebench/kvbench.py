@@ -136,7 +136,7 @@ class _BoundaryKvRunner:
     """The store as a trusted application reached through the boundary."""
 
     def __init__(self, seed: int, shared_mode: SharedMode, switch_cost: float,
-                 transport: str | None):
+                 transport: str):
         self.ctx = initialize_context(switch_cost=switch_cost, transport=transport)
         if shared_mode is SharedMode.PARTIAL:
             self.region = self.ctx.allocate_shared_region(
@@ -196,7 +196,7 @@ def run_kv_bench(
     seed: int = 0,
     prepopulate: bool = False,
     switch_cost: float = 0.0,
-    transport: str | None = None,
+    transport: str = "process",
     max_seconds_per_rate: float | None = None,
 ) -> ThroughputLatencySeries:
     """Drive the workload over the rate ladder and collect latency stats.

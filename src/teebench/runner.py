@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .boundary import BoundaryError, BoundaryStats, initialize_context
 from .boundary.protocol import TeeResult
-from .boundary.tas import TrafficCommand, _LEN
+from .boundary.tas import TrafficCommand, read_json, write_json
 from .core import (
     Execution,
     KIB,
@@ -54,21 +54,7 @@ def _alloc_io_region(ctx, mode: SharedMode):
     return ctx.allocate_shared_region(_IO_REGION_SIZE, mode)
 
 
-def _window_write_json(region, payload: dict) -> None:
-    import json
-
-    data = json.dumps(payload).encode()
-    region.window_write(0, _LEN.pack(len(data)) + data)
-
-
-def _window_read_json(region) -> dict:
-    import json
-
-    (length,) = _LEN.unpack(region.window_read(0, _LEN.size))
-    return json.loads(region.window_read(_LEN.size, length).decode())
-
-
-def run_client(cfg: RunConfig, *, transport: str | None = None) -> RunResult:
+def run_client(cfg: RunConfig, *, transport: str = "process") -> RunResult:
     """Execute one client run per ``cfg.execution`` and return its results."""
     cfg = validate_config(cfg)
     started = time.time()
@@ -81,7 +67,7 @@ def run_client(cfg: RunConfig, *, transport: str | None = None) -> RunResult:
     args_region = _alloc_io_region(ctx, cfg.shared_mode)
     metrics_region = _alloc_io_region(ctx, cfg.shared_mode)
     try:
-        _window_write_json(args_region, cfg.to_dict())
+        write_json(args_region.window_write, cfg.to_dict())
         session = ctx.open_session("traffic")
         try:
             result = session.invoke(
@@ -91,7 +77,7 @@ def run_client(cfg: RunConfig, *, transport: str | None = None) -> RunResult:
             session.close()
         if result.status != TeeResult.SUCCESS:
             raise RunFailure(result.status)
-        metrics = TransferMetrics.from_dict(_window_read_json(metrics_region))
+        metrics = TransferMetrics.from_dict(read_json(metrics_region.window_read))
     finally:
         ctx.release_region(args_region)
         ctx.release_region(metrics_region)

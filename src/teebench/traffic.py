@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import socket
 from dataclasses import dataclass
 
 from . import clock
 from .boundary.protocol import IoctlCode
+from .boundary.supplicant import OsSocket
 from .core import (
     Mode,
     Protocol,
@@ -68,58 +68,6 @@ def batch_factor(bitrate: float, chunk_size: int,
     return math.ceil(min_gap / interval)
 
 
-class _DirectSocket:
-    """Native socket with the same surface as the relayed facade."""
-
-    def __init__(self, host: str, port: int, protocol: Protocol):
-        self.protocol = protocol
-        self._last_errno = 0
-        try:
-            if protocol is Protocol.TCP:
-                self._sock = socket.create_connection((host, port))
-            else:
-                self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                self._sock.connect((host, port))
-        except OSError as exc:
-            self._last_errno = exc.errno or 0
-            raise
-
-    def send(self, data) -> int:
-        try:
-            return self._sock.send(data)
-        except OSError as exc:
-            self._last_errno = exc.errno or 0
-            raise
-
-    def recv(self, max_bytes: int) -> bytes:
-        try:
-            return self._sock.recv(max_bytes)
-        except OSError as exc:
-            self._last_errno = exc.errno or 0
-            raise
-
-    def ioctl(self, code: IoctlCode, arg) -> None:
-        try:
-            if code == IoctlCode.SET_BUF_SIZES:
-                send_size, recv_size = arg
-                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, send_size)
-                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_size)
-            elif code == IoctlCode.SET_PEER:
-                host, port = arg
-                self._sock.connect((host, port))
-            else:
-                raise ValueError(f"unknown ioctl code {code}")
-        except OSError as exc:
-            self._last_errno = exc.errno or 0
-            raise
-
-    def error(self) -> int:
-        return self._last_errno
-
-    def close(self) -> None:
-        self._sock.close()
-
-
 class DirectEnv:
     """Measurement environment backed by plain OS sockets, no heap cap."""
 
@@ -132,8 +80,8 @@ class DirectEnv:
     def monotonic(self) -> float:
         return clock.monotonic()
 
-    def open_socket(self, host: str, port: int, protocol: Protocol) -> _DirectSocket:
-        return _DirectSocket(host, port, protocol)
+    def open_socket(self, host: str, port: int, protocol: Protocol) -> OsSocket:
+        return OsSocket(host, port, protocol)
 
 
 def run_measurement(cfg: RunConfig, env=None) -> TransferMetrics:

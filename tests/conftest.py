@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import tempfile
+
 import pytest
 
 from teebench.core import Protocol
@@ -6,6 +10,30 @@ from teebench.server import BenchmarkServer, ServerConfig
 # Both boundary transports must behave identically; parametrize the
 # cheap tests over them and keep the slow ones on a single transport.
 TRANSPORTS = ("inline", "process")
+
+
+SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
+
+
+def _shm_segments() -> set[str]:
+    return {n for n in os.listdir(SHM_DIR) if n.startswith("teebench-shm-")}
+
+
+@pytest.fixture
+def shm_segments():
+    return _shm_segments
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segments_or_children():
+    """Fail a test that leaves a shared-memory segment or a child behind."""
+    segments = _shm_segments()
+    children = set(multiprocessing.active_children())
+    yield
+    leaked = _shm_segments() - segments
+    alive = set(multiprocessing.active_children()) - children
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert not alive, f"leaked child processes: {alive}"
 
 
 @pytest.fixture

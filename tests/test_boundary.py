@@ -1,3 +1,4 @@
+import errno
 import random
 import socket
 import threading
@@ -8,6 +9,7 @@ import pytest
 from teebench import clock
 from teebench.boundary import (
     DISCARD_HANDLE,
+    NOOP_COMMAND,
     RegionFault,
     SessionStateError,
     TaNotFoundError,
@@ -53,6 +55,31 @@ class _FlakySocketTa:
         reported = sock.error()
         state_is_error = 1 if sock.state is SocketState.ERROR else 0
         return TeeResult.SUCCESS, (caught, reported, state_is_error)
+
+
+@register_ta("test-bad-relay")
+class _BadRelayTa:
+    """Relays sends naming a region the session never shared and a window
+    past the end of its scratch region, then an open whose body does not
+    decode; reports the errnos it got."""
+
+    def on_invoke(self, env, command, params):
+        unknown = env.relay(Command.SOCK_SEND, region_ref=(999, 0, 16),
+                            handle=DISCARD_HANDLE)
+        scratch = env.scratch.descriptor
+        outside = env.relay(
+            Command.SOCK_SEND,
+            region_ref=(scratch.region_id, scratch.window_length - 8, 16),
+            handle=DISCARD_HANDLE,
+        )
+        malformed = env.relay(Command.SOCK_OPEN, body=b"\x01")
+        return TeeResult.SUCCESS, (-unknown, -outside, -malformed)
+
+
+@register_ta("test-raiser")
+class _RaisingTa:
+    def on_invoke(self, env, command, params):
+        raise ValueError("trusted app bug")
 
 
 class TestContextLifecycle:
@@ -213,15 +240,15 @@ class TestTaMemory:
 
     def test_oversized_chunk_in_boundary_run_returns_out_of_memory(self):
         # bypass config validation to hit the runtime's own cap
-        from teebench.boundary.tas import TrafficCommand
-        from teebench.runner import _alloc_io_region, _window_write_json
+        from teebench.boundary.tas import TrafficCommand, write_json
+        from teebench.runner import _alloc_io_region
 
         cfg = RunConfig(mode=Mode.FIXED_BYTES, total_bytes=KIB,
                         chunk_size=2 * 1024 * 1024, port=1)
         ctx = initialize_context(transport="inline")
         args = _alloc_io_region(ctx, SharedMode.WHOLE)
         metrics = _alloc_io_region(ctx, SharedMode.WHOLE)
-        _window_write_json(args, cfg.to_dict())
+        write_json(args.window_write, cfg.to_dict())
         session = ctx.open_session("traffic")
         result = session.invoke(TrafficCommand.RUN, regions=(args, metrics))
         assert result.status == TeeResult.OUT_OF_MEMORY
@@ -270,7 +297,7 @@ class TestRegionLifetimes:
         ctx.finalize()
 
     def test_session_bound_region_faults_after_close(self):
-        # inline transport keeps the trusted runtime reachable after close
+        # the inline channel keeps the trusted runtime reachable after close
         ctx = initialize_context(transport="inline")
         for mode in (SharedMode.WHOLE, SharedMode.PARTIAL):
             offset = 0 if mode is SharedMode.WHOLE else KIB
@@ -280,7 +307,7 @@ class TestRegionLifetimes:
             assert session.invoke(ProbeCommand.TOUCH_STASHED,
                                   values=(TouchOp.READ, 0, 8)).status \
                 == TeeResult.SUCCESS
-            stashed_view = session.runtime.ta._stashed
+            stashed_view = session._channel.endpoint.runtime.ta._stashed
             session.close()
             with pytest.raises(RegionFault):
                 stashed_view.read(0, 8)
@@ -380,6 +407,73 @@ class TestSocketFacade:
         assert state_is_error == 1
         session.close()
         ctx.finalize()
+
+
+class TestFaultContainment:
+    def test_bad_relay_is_an_errno_and_close_finishes(
+            self, transport, shm_segments):
+        before = shm_segments()
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-bad-relay")
+        result = session.invoke(1)
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (errno.EFAULT, errno.EFAULT, errno.EINVAL)
+        closer = threading.Thread(target=session.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() hung after a faulting relay"
+        assert session.closed
+        ctx.finalize()
+        assert shm_segments() == before
+
+    def test_unmapped_trusted_exception_is_generic(self, transport, capfd):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-raiser")
+        assert session.invoke(1).status == TeeResult.GENERIC
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        session.close()
+        ctx.finalize()
+        assert "ValueError: trusted app bug" in capfd.readouterr().err
+
+
+def _probe_script(transport):
+    """The same probe steps over one transport: (status, values) per step
+    and the boundary statistics at the end."""
+    ctx = initialize_context(transport=transport, switch_cost=1e-6,
+                             ta_memory_cap=64 * KIB)
+    args = ctx.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
+    temp = ctx.allocate_shared_region(4 * KIB, SharedMode.TEMPORARY)
+    session = ctx.open_session("probe", args_regions=(args,))
+    steps = [
+        session.invoke(ProbeCommand.TOUCH, regions=(args,),
+                       values=(TouchOp.WRITE, 0, 16)),
+        session.invoke(ProbeCommand.TOUCH, regions=(args,),
+                       values=(TouchOp.WRITE, 4 * KIB - 8, 16)),
+        session.invoke(ProbeCommand.TOUCH_STASHED, values=(TouchOp.READ, 0, 8)),
+        session.invoke(ProbeCommand.STASH, regions=(temp,)),
+        session.invoke(ProbeCommand.TOUCH_STASHED, values=(TouchOp.READ, 0, 8)),
+        session.invoke(ProbeCommand.SEND_DISCARD, values=(7, KIB)),
+        session.invoke(ProbeCommand.ALLOC, values=(128 * KIB,)),
+    ]
+    session.close()
+    ctx.release_region(args)
+    ctx.release_region(temp)
+    stats = ctx.stats
+    ctx.finalize()
+    return [(r.status, r.values) for r in steps], stats
+
+
+def test_both_transports_answer_a_probe_script_alike():
+    inline_steps, inline_stats = _probe_script("inline")
+    process_steps, process_stats = _probe_script("process")
+    assert inline_steps == process_steps
+    assert [status for status, _ in inline_steps] == [
+        TeeResult.SUCCESS, TeeResult.ACCESS_FAULT, TeeResult.SUCCESS,
+        TeeResult.SUCCESS, TeeResult.ACCESS_FAULT, TeeResult.SUCCESS,
+        TeeResult.OUT_OF_MEMORY,
+    ]
+    assert inline_stats == process_stats
+    assert inline_stats.crossings == 2 * (7 + 7 + 2)
 
 
 class TestSupplicantIoctl:
