@@ -3,8 +3,8 @@
 A session talks to its trusted application over a channel. The
 "process" channel (the default) forks the application into its own
 process wired up with a control pipe plus shared memory; the "inline"
-channel calls the same trusted-side dispatch in the calling process and
-exists for tests (``transport="inline"``).
+channel calls the same ``TrustedRuntime.dispatch`` in the calling process
+and exists for tests (``transport="inline"``).
 
 Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context as _mp_get_context
 
 from .. import clock
-from ..core import SharedMode, TA_MEMORY_LIMIT
+from ..core import MIB, SharedMode, TA_MEMORY_LIMIT
 from .errors import (
     BoundaryError,
     RegionAllocationError,
@@ -44,12 +44,9 @@ from .protocol import (
 )
 from .regions import SharedRegion
 from .supplicant import Supplicant
-from .trusted import TrustedEndpoint
+from .trusted import TrustedRuntime
 
-DEFAULT_REGION_CAP = 64 * 1024 * 1024
-DEFAULT_SCRATCH_SIZE = TA_MEMORY_LIMIT
-
-_context_ids = itertools.count(1)
+REGION_CAP = 64 * MIB  # shared-region bytes one context may have outstanding
 
 
 @dataclass
@@ -71,18 +68,11 @@ InvokeResult = namedtuple("InvokeResult", "status values")
 class Context:
     """Owner of shared regions, sessions and the boundary statistics."""
 
-    def __init__(self, *, switch_cost: float = 0.0, transport: str = "process",
-                 ta_memory_cap: int = TA_MEMORY_LIMIT,
-                 region_cap: int = DEFAULT_REGION_CAP,
-                 scratch_size: int = DEFAULT_SCRATCH_SIZE):
+    def __init__(self, *, switch_cost: float = 0.0, transport: str = "process"):
         if transport not in _CHANNELS:
             raise ValueError(f"unknown boundary transport {transport!r}")
-        self.id = next(_context_ids)
         self.switch_cost = switch_cost
         self.transport = transport
-        self.ta_memory_cap = ta_memory_cap
-        self.region_cap = region_cap
-        self.scratch_size = scratch_size
         self._regions: dict[int, SharedRegion] = {}
         self._sessions: list["Session"] = []
         self._region_ids = itertools.count(1)  # 0 means "no region" on the wire
@@ -111,9 +101,9 @@ class Context:
                                length: int | None = None) -> SharedRegion:
         self._check_live()
         outstanding = sum(r.size for r in self._regions.values() if not r.released)
-        if outstanding + size > self.region_cap:
+        if outstanding + size > REGION_CAP:
             raise RegionAllocationError(
-                f"allocating {size} B would exceed the {self.region_cap} B region cap"
+                f"allocating {size} B would exceed the {REGION_CAP} B region cap"
             )
         region = SharedRegion(next(self._region_ids), size, mode, offset, length)
         self._regions[region.region_id] = region
@@ -171,11 +161,10 @@ class Session:
 
     def __init__(self, ctx: Context, ta_name: str, args_regions=()):
         self._ctx = ctx
-        self.ta_name = ta_name
         self.closed = False
         self._op_lock = threading.Lock()
         scratch_id = next(ctx._region_ids)
-        self._scratch = SharedRegion(scratch_id, ctx.scratch_size, SharedMode.WHOLE)
+        self._scratch = SharedRegion(scratch_id, TA_MEMORY_LIMIT, SharedMode.WHOLE)
         self._supplicant = Supplicant()
         self._known_regions: dict[int, SharedRegion] = {scratch_id: self._scratch}
         self._note_regions(args_regions)
@@ -265,11 +254,11 @@ class Session:
 
 
 # --------------------------------------------------------------------------
-# channels: how a request reaches the trusted endpoint and its reply returns
+# channels: how a request reaches the trusted runtime and its reply returns
 # --------------------------------------------------------------------------
 
 
-def _trusted_process_main(rfd: int, wfd: int, memory_cap: int) -> None:
+def _trusted_process_main(rfd: int, wfd: int) -> None:
     def rpc(command, region_id, offset, length, handle, body) -> int:
         write_message(wfd, command, region_id=region_id, offset=offset,
                       length=length, status=handle, body=body)
@@ -278,12 +267,12 @@ def _trusted_process_main(rfd: int, wfd: int, memory_cap: int) -> None:
             raise BoundaryError("relay closed while waiting for a reply")
         return reply.status
 
-    endpoint = TrustedEndpoint(rpc, memory_cap)
+    runtime = TrustedRuntime(rpc)
     while True:
         msg = read_message(rfd)
         if msg is None:
             break
-        status, body = endpoint.dispatch(msg.command, msg.body)
+        status, body = runtime.dispatch(msg.command, msg.body)
         write_message(wfd, Command.RETURN, status=status, body=body)
         if msg.command == Command.CLOSE or (
                 msg.command == Command.OPEN and status != TeeResult.SUCCESS):
@@ -293,7 +282,7 @@ def _trusted_process_main(rfd: int, wfd: int, memory_cap: int) -> None:
 
 
 class _ProcessChannel:
-    """The trusted endpoint in a forked process behind two pipes."""
+    """The trusted runtime in a forked process behind two pipes."""
 
     def __init__(self, session: Session):
         self._serve = session._serve
@@ -301,7 +290,7 @@ class _ProcessChannel:
         to_parent_r, to_parent_w = os.pipe()
         self._proc = _mp_get_context("fork").Process(
             target=_trusted_process_main,
-            args=(to_child_r, to_parent_w, session._ctx.ta_memory_cap),
+            args=(to_child_r, to_parent_w),
             daemon=True,
         )
         self._proc.start()
@@ -335,14 +324,14 @@ class _ProcessChannel:
 
 
 class _InlineChannel:
-    """The trusted endpoint called directly in the calling process."""
+    """The trusted runtime called directly in the calling process."""
 
     def __init__(self, session: Session):
         def rpc(*fields) -> int:
             return session._serve(Message(*fields))[0]
 
-        self.endpoint = TrustedEndpoint(rpc, session._ctx.ta_memory_cap)
-        self.exchange = self.endpoint.dispatch
+        self.runtime = TrustedRuntime(rpc)
+        self.exchange = self.runtime.dispatch
 
     def close(self) -> None:
         pass

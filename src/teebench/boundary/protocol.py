@@ -11,7 +11,9 @@ Every message starts with a fixed-width little-endian header::
                              or -errno, depending on the command)
 
 When ``region_id == 0`` and ``length > 0``, exactly ``length`` bytes of
-body follow the header; otherwise nothing does. Bulk payloads never ride
+body follow the header; otherwise nothing does. A body is at most
+``TA_MEMORY_LIMIT`` bytes: a header asking for more is rejected before
+anything is read. Bulk payloads never ride
 the pipe: they are staged in a shared region and referenced by
 (region_id, offset, length). Each message delivered over the pipe is one
 world crossing. An alternate supplicant that speaks this framing and the
@@ -25,6 +27,8 @@ import os
 import struct
 from dataclasses import dataclass
 
+from ..core import TA_MEMORY_LIMIT
+from .errors import BoundaryError
 from .regions import RegionDescriptor
 
 HEADER = struct.Struct("<IIQQq")
@@ -87,6 +91,8 @@ def write_message(fd: int, command: int, *, region_id: int = 0, offset: int = 0,
     if body:
         if region_id != 0:
             raise ValueError("body and region reference are mutually exclusive")
+        if len(body) > TA_MEMORY_LIMIT:
+            raise ValueError(f"a {len(body)} B body is over the frame cap")
         length = len(body)
     data = HEADER.pack(command, region_id, offset, length, status) + body
     view = memoryview(data)
@@ -108,15 +114,17 @@ def _read_exact(fd: int, n: int) -> bytes | None:
 
 
 def read_message(fd: int) -> Message | None:
-    """Read one framed message; None on clean EOF."""
+    """Read one framed message; None on EOF, also inside a frame."""
     raw = _read_exact(fd, HEADER_SIZE)
     if raw is None:
         return None
     command, region_id, offset, length, status = HEADER.unpack(raw)
     body = b""
     if region_id == 0 and length > 0:
-        body = _read_exact(fd, length) or b""
-        if len(body) != length:
+        if length > TA_MEMORY_LIMIT:
+            raise BoundaryError(f"a {length} B frame body is over the cap")
+        body = _read_exact(fd, length)
+        if body is None:
             return None
     return Message(command, region_id, offset, length, status, body)
 

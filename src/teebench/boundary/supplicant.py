@@ -104,11 +104,6 @@ class Supplicant:
         self._closed: dict[int, OsSocket] = {}  # SOCK_ERROR still answers for these
         self._next_handle = 1
 
-    def socket_for(self, handle: int):
-        """Expose the live OS socket behind a handle (introspection/tests)."""
-        sock = self._sockets.get(handle)
-        return sock.raw if sock is not None else None
-
     def service(self, msg: Message, regions) -> tuple[int, bytes]:
         """Execute one relayed call; returns (status, reply_body).
 

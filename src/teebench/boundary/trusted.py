@@ -1,10 +1,12 @@
 """Trusted-side runtime: application registry, execution environment and
-the request dispatch shared by both transports.
+the one class that answers a session's requests on either transport.
 
-Trusted application code never touches the OS directly. Everything it may
-use hangs off the TrustedEnv handed to its entry points: heap accounting
-against the runtime budget, the relayed socket facade, shared-region
-views and the monotonic clock.
+``TrustedRuntime.dispatch`` turns each OPEN, INVOKE or CLOSE request into
+(status, reply body); the forked process calls it once per pipe message
+and the inline channel calls it directly. Trusted application code never
+touches the OS directly. Everything it may use hangs off the TrustedEnv
+handed to its entry points: heap accounting against ``TA_MEMORY_LIMIT``,
+the relayed socket facade, shared-region views and the monotonic clock.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import traceback
 from typing import Callable
 
 from .. import clock
-from ..core import Protocol
+from ..core import TA_MEMORY_LIMIT, Protocol
 from .errors import RegionFault, TaMemoryError, TeeSocketError
 from .protocol import (
     Command,
@@ -45,10 +47,6 @@ def register_ta(name: str):
     return wrap
 
 
-def ta_factory(name: str):
-    return _TA_FACTORIES.get(name)
-
-
 class SocketState(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
@@ -71,14 +69,12 @@ class TeeSocket:
         self.handle = handle
         self.protocol = protocol
         self.state = SocketState.OPEN
-        self._last_errno = 0
 
     def _check_usable(self):
         if self.state is not SocketState.OPEN:
             raise TeeSocketError(9, f"socket is {self.state.value}")
 
     def _fail(self, err: int):
-        self._last_errno = err
         if err in _FATAL_ERRNOS:
             self.state = SocketState.ERROR
         raise TeeSocketError(err)
@@ -138,16 +134,14 @@ class TeeSocket:
         status = self._env.relay(Command.SOCK_CLOSE, handle=self.handle)
         self.state = SocketState.CLOSED
         if status < 0:
-            self._last_errno = -status
             raise TeeSocketError(-status)
 
 
 class TrustedEnv:
     """Execution environment visible to trusted application code."""
 
-    def __init__(self, rpc, memory_cap: int):
+    def __init__(self, rpc):
         self._rpc = rpc
-        self.memory_cap = memory_cap
         self._used = 0
         self.scratch: TrustedRegionView | None = None
 
@@ -157,9 +151,9 @@ class TrustedEnv:
         """Reserve nbytes of the runtime heap budget or fail with OOM."""
         if nbytes < 0:
             raise ValueError("negative allocation")
-        if self._used + nbytes > self.memory_cap:
+        if self._used + nbytes > TA_MEMORY_LIMIT:
             raise TaMemoryError(
-                f"allocation of {nbytes} B exceeds the {self.memory_cap} B runtime cap"
+                f"allocation of {nbytes} B exceeds the {TA_MEMORY_LIMIT} B runtime cap"
             )
         self._used += nbytes
 
@@ -205,20 +199,36 @@ class InvokeParams:
 
 
 class TrustedRuntime:
-    """Dispatches session-protocol events onto one application instance.
+    """Trusted end of one session: the application instance, its
+    environment and the views of the regions shared with it.
 
-    Driven by ``TrustedEndpoint`` on either transport, so the semantics
-    (region caching, temporary revocation, error-to-status mapping) are
-    the same in both.
+    ``rpc(command, region_id, offset, length, handle, body)`` relays one
+    socket call to the normal world and returns its status. Both
+    transports call ``dispatch``, so region caching, temporary revocation
+    and error-to-status mapping are the same in both; an exception the
+    handlers do not map becomes GENERIC, with its traceback on stderr.
     """
 
-    def __init__(self, ta_name: str, rpc, memory_cap: int):
-        factory = ta_factory(ta_name)
-        if factory is None:
-            raise KeyError(ta_name)
-        self.ta = factory()
-        self.env = TrustedEnv(rpc, memory_cap)
+    def __init__(self, rpc):
+        self.env = TrustedEnv(rpc)
+        self.ta = None
         self._views: dict[int, TrustedRegionView] = {}
+
+    def dispatch(self, command: int, body: bytes) -> tuple[int, bytes]:
+        try:
+            if command == Command.OPEN:
+                return self.handle_open(*unpack_open_body(body)), b""
+            if command == Command.INVOKE:
+                ta_command, region_descs, values = unpack_invoke_body(body)
+                status, out = self.handle_invoke(
+                    ta_command, region_descs, tuple(values))
+                return status, pack_values(out)
+            if command == Command.CLOSE:
+                return self.handle_close(), b""
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
+            return TeeResult.GENERIC, b""
+        return TeeResult.NOT_SUPPORTED, b""
 
     def _view_for(self, desc: RegionDescriptor) -> TrustedRegionView:
         if desc.lifetime is Lifetime.INVOCATION_BOUND:
@@ -229,8 +239,12 @@ class TrustedRuntime:
             self._views[desc.region_id] = view
         return view
 
-    def handle_open(self, scratch_desc: RegionDescriptor,
+    def handle_open(self, ta_name: str, scratch_desc: RegionDescriptor,
                     region_descs: list[RegionDescriptor]) -> int:
+        factory = _TA_FACTORIES.get(ta_name)
+        if factory is None:
+            return TeeResult.NOT_FOUND
+        self.ta = factory()
         self.env.scratch = TrustedRegionView(scratch_desc)
         views = [self._view_for(d) for d in region_descs]
         temporaries = [v for v in views if v.descriptor.lifetime is Lifetime.INVOCATION_BOUND]
@@ -282,43 +296,3 @@ class TrustedRuntime:
             if self.env.scratch is not None:
                 self.env.scratch.revoke()
         return TeeResult.SUCCESS
-
-
-class TrustedEndpoint:
-    """Trusted end of a session: turns each OPEN, INVOKE or CLOSE request
-    into (status, reply body).
-
-    Both transports call ``dispatch``: the forked process once per pipe
-    message, the inline channel directly. An exception the runtime does
-    not map becomes GENERIC, with its traceback on stderr. ``rpc(command,
-    region_id, offset, length, handle, body)`` relays one socket call to
-    the normal world and returns its status.
-    """
-
-    def __init__(self, rpc, memory_cap: int):
-        self._rpc = rpc
-        self._memory_cap = memory_cap
-        self.runtime: TrustedRuntime | None = None
-
-    def dispatch(self, command: int, body: bytes) -> tuple[int, bytes]:
-        try:
-            if command == Command.OPEN:
-                name, scratch_desc, region_descs = unpack_open_body(body)
-                try:
-                    self.runtime = TrustedRuntime(name, self._rpc, self._memory_cap)
-                except KeyError:
-                    return TeeResult.NOT_FOUND, b""
-                return self.runtime.handle_open(scratch_desc, region_descs), b""
-            if command == Command.INVOKE:
-                ta_command, region_descs, values = unpack_invoke_body(body)
-                status, out = self.runtime.handle_invoke(
-                    ta_command, region_descs, tuple(values))
-                return status, pack_values(out)
-            if command == Command.CLOSE:
-                if self.runtime is not None:
-                    self.runtime.handle_close()
-                return TeeResult.SUCCESS, b""
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-            return TeeResult.GENERIC, b""
-        return TeeResult.NOT_SUPPORTED, b""

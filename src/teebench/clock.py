@@ -42,3 +42,14 @@ def inject_delay(cost: float) -> None:
     if cost <= 0:
         return
     wait_until(monotonic() + cost)
+
+
+def finish_schedule(t0: float, scheduled_end: float) -> tuple[float, bool]:
+    """Wait out a paced schedule begun at ``t0``; return the elapsed time
+    and whether pacing underran: done later than 5% + 2 ms past the
+    scheduled span."""
+    now = monotonic()
+    if now < scheduled_end:
+        now = wait_until(scheduled_end)
+    elapsed = now - t0
+    return elapsed, elapsed > (scheduled_end - t0) * 1.05 + 0.002

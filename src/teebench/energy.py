@@ -56,12 +56,6 @@ class EnergyReport:
         }
 
 
-@dataclass(frozen=True)
-class EnergyComparison:
-    delta_joules: float
-    ratio: float | None         # None when the baseline energy is zero
-
-
 _COLUMNS = {TraceFormat.PDU_CSV: 2, TraceFormat.POWERSPY_CSV: 4}
 _WATTS_COLUMN = {TraceFormat.PDU_CSV: 1, TraceFormat.POWERSPY_CSV: 3}
 
@@ -163,10 +157,3 @@ def integrate_energy(
         sample_count=in_window,
         mean_power=energy / (t_end - t_start),
     )
-
-
-def compare_runs(report_a: EnergyReport, report_b: EnergyReport) -> EnergyComparison:
-    """Energy delta (b - a) and ratio (b / a); ratio is None when a is 0."""
-    delta = report_b.energy - report_a.energy
-    ratio = report_b.energy / report_a.energy if report_a.energy != 0 else None
-    return EnergyComparison(delta_joules=delta, ratio=ratio)

@@ -2,7 +2,8 @@
 
 Per rate point the driver issues a batch of PUT/GET/DEL operations paced
 at the target rate against a 512 KiB region of seeded random data, using
-1 KiB chunks at 1 KiB-aligned offsets; the offset doubles as the key.
+1 KiB chunks at 1 KiB-aligned offsets. The key is the slot index
+(offset // 1 KiB), so the 512 keys spread two to a bucket.
 Every operation is timed individually on the monotonic clock. The store
 runs either in-process (direct) or as the trusted application behind the
 boundary, where session-bound sharing registers the data region once and
@@ -117,14 +118,15 @@ class _DirectKvRunner:
         self.store = KvStore()
 
     def op(self, kind: str, key: int) -> bool:
+        offset = key * OP_CHUNK
         if kind == "put":
-            self.store.put(key, memoryview(self.buffer)[key:key + OP_CHUNK])
+            self.store.put(key, memoryview(self.buffer)[offset:offset + OP_CHUNK])
             return True
         if kind == "get":
             value = self.store.get(key)
             if value is None:
                 return False
-            self.buffer[key:key + OP_CHUNK] = value
+            self.buffer[offset:offset + OP_CHUNK] = value
             return True
         return self.store.delete(key)
 
@@ -153,14 +155,15 @@ class _BoundaryKvRunner:
             self._invoke_regions = ()
 
     def op(self, kind: str, key: int) -> bool:
+        offset = key * OP_CHUNK
         if kind == "put":
             result = self.session.invoke(
                 KvCommand.PUT, regions=self._invoke_regions,
-                values=(key, key, OP_CHUNK),
+                values=(key, offset, OP_CHUNK),
             )
         elif kind == "get":
             result = self.session.invoke(
-                KvCommand.GET, regions=self._invoke_regions, values=(key, key)
+                KvCommand.GET, regions=self._invoke_regions, values=(key, offset)
             )
         else:
             result = self.session.invoke(
@@ -229,12 +232,11 @@ def run_kv_bench(
     def pick_key(kind: str) -> int:
         if kind != "put" and present:
             return rng.choice(present)
-        return rng.randrange(SLOT_COUNT) * OP_CHUNK
+        return rng.randrange(SLOT_COUNT)
 
     try:
         if prepopulate:
-            for slot in range(SLOT_COUNT):
-                key = slot * OP_CHUNK
+            for key in range(SLOT_COUNT):
                 runner.op("put", key)
                 track_put(key)
 
@@ -260,11 +262,7 @@ def run_kv_bench(
                     track_put(key)
                 elif kind == "del":
                     track_del(key)
-            scheduled_end = t0 + ops * interval
-            now = clock.monotonic()
-            if now < scheduled_end:
-                now = clock.wait_until(scheduled_end)
-            elapsed = now - t0
+            elapsed, underrun = clock.finish_schedule(t0, t0 + ops * interval)
             mean, p50, p95, p99 = _latency_stats(latencies)
             records.append(RatePoint(
                 target_rate=float(rate),
@@ -273,7 +271,7 @@ def run_kv_bench(
                 p50=p50, p95=p95, p99=p99,
                 ops=ops,
                 misses=misses,
-                underrun=elapsed > ops * interval * 1.05 + 0.002,
+                underrun=underrun,
             ))
     finally:
         runner.close()

@@ -10,10 +10,6 @@ from __future__ import annotations
 BUCKET_COUNT = 256
 
 
-class KvMemoryError(MemoryError):
-    """Storing the value would exceed the configured memory cap."""
-
-
 def bucket_of(key: int) -> int:
     return key % BUCKET_COUNT
 
@@ -22,52 +18,33 @@ class KvStore:
     """Chained hash table mapping integer keys to owned byte strings.
 
     PUT on an existing key replaces the value. GET returns None for a
-    missing key; DELETE returns False. With ``memory_cap`` set, the sum
-    of stored value lengths may not exceed it.
+    missing key; DELETE returns False. The store keeps no memory budget:
+    behind the boundary, ``KvTa`` charges every value to the trusted
+    heap.
     """
 
-    def __init__(self, memory_cap: int | None = None):
+    def __init__(self):
         self._buckets: list[list[tuple[int, bytes]]] = [
             [] for _ in range(BUCKET_COUNT)
         ]
         self._count = 0
-        self._bytes_used = 0
-        self.memory_cap = memory_cap
 
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def bytes_used(self) -> int:
-        return self._bytes_used
-
     def put(self, key: int, value) -> None:
-        """Store an owned copy of ``value`` under ``key``.
-
-        Raises KvMemoryError (leaving the store unchanged) when the cap
-        would be exceeded, ValueError on an empty value.
-        """
+        """Store an owned copy of ``value`` under ``key``, replacing any
+        previous value; ValueError on an empty value."""
         data = bytes(value)
         if len(data) < 1:
             raise ValueError("value must be at least 1 byte")
         chain = self._buckets[bucket_of(key)]
-        old_len = None
-        for i, (k, v) in enumerate(chain):
+        for i, (k, _) in enumerate(chain):
             if k == key:
-                old_len = len(v)
-                slot = i
-                break
-        new_used = self._bytes_used - (old_len or 0) + len(data)
-        if self.memory_cap is not None and new_used > self.memory_cap:
-            raise KvMemoryError(
-                f"store would use {new_used} bytes, cap is {self.memory_cap}"
-            )
-        if old_len is None:
-            chain.append((key, data))
-            self._count += 1
-        else:
-            chain[slot] = (key, data)
-        self._bytes_used = new_used
+                chain[i] = (key, data)
+                return
+        chain.append((key, data))
+        self._count += 1
 
     def get(self, key: int) -> bytes | None:
         """Copy the value out, or None when the key is absent."""
@@ -79,10 +56,9 @@ class KvStore:
     def delete(self, key: int) -> bool:
         """Free the entry after looking it up; False when absent."""
         chain = self._buckets[bucket_of(key)]
-        for i, (k, v) in enumerate(chain):
+        for i, (k, _) in enumerate(chain):
             if k == key:
                 del chain[i]
                 self._count -= 1
-                self._bytes_used -= len(v)
                 return True
         return False

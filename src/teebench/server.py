@@ -16,7 +16,6 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import clock
 from .core import (
@@ -270,17 +269,3 @@ class BenchmarkServer:
             max_segment_size=None,
             payload_sha256=flow.digest.hexdigest(),
         ))
-
-
-def serve(cfg: ServerConfig) -> Iterator[ServerMetrics]:
-    """Run a server, yielding one metrics record per completed flow until
-    the consumer stops iterating."""
-    server = BenchmarkServer(cfg).start()
-    try:
-        while True:
-            try:
-                yield server.next_record(timeout=0.5)
-            except queue.Empty:
-                continue
-    finally:
-        server.stop()

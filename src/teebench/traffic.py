@@ -30,12 +30,11 @@ from .core import (
 MIN_PACING_GAP = 0.001
 
 
-def fill_dummy_buffer(size: int, seed: int, *, cap: int | None = None) -> bytes:
-    """Deterministic pseudo-random payload for a given (size, seed)."""
+def fill_dummy_buffer(size: int, seed: int) -> bytes:
+    """Deterministic pseudo-random payload for a given (size, seed); the
+    caller budgets it (``run_measurement`` calls ``env.alloc`` first)."""
     if size < 1:
         raise ValueError("buffer size must be >= 1")
-    if cap is not None and size > cap:
-        raise MemoryError(f"dummy buffer of {size} B exceeds the {cap} B cap")
     return random.Random(seed).randbytes(size)
 
 
@@ -60,12 +59,11 @@ def pace(next_deadline: float, bitrate: float, chunk_size: int, *,
     return PaceDecision(wait, next_deadline + interval)
 
 
-def batch_factor(bitrate: float, chunk_size: int,
-                 min_gap: float = MIN_PACING_GAP) -> int:
+def batch_factor(bitrate: float, chunk_size: int) -> int:
     interval = chunk_size * 8 / bitrate
-    if interval >= min_gap:
+    if interval >= MIN_PACING_GAP:
         return 1
-    return math.ceil(min_gap / interval)
+    return math.ceil(MIN_PACING_GAP / interval)
 
 
 class DirectEnv:
@@ -169,11 +167,7 @@ def run_measurement(cfg: RunConfig, env=None) -> TransferMetrics:
                 for _ in range(batch):
                     timed_send(view)
             # a paced run owns the full interval of every chunk it sent
-            if env.monotonic() < scheduled_end:
-                clock.wait_until(scheduled_end)
-            scheduled = scheduled_end - t0
-            if env.monotonic() - t0 > scheduled * 1.05 + 0.002:
-                underrun = True
+            _, underrun = clock.finish_schedule(t0, scheduled_end)
     except OSError as exc:
         error = f"transmit failed: errno {exc.errno}"
 

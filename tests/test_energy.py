@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teebench.energy import (
-    EnergyReport,
     IntegrationError,
     PowerSample,
     TraceError,
     TraceFormat,
-    compare_runs,
     ingest_trace,
     integrate_energy,
 )
@@ -161,25 +159,6 @@ def test_refining_by_linear_interpolation_preserves_the_integral(samples):
     coarse = integrate_energy(samples, t_lo, t_hi).energy
     fine = integrate_energy(refined, t_lo, t_hi).energy
     assert fine == pytest.approx(coarse, rel=1e-9, abs=1e-9)
-
-
-class TestCompareRuns:
-    def report(self, joules):
-        return EnergyReport(t_start=0.0, t_end=10.0, energy=joules,
-                            sample_count=11, mean_power=joules / 10.0)
-
-    def test_equal_runs(self):
-        cmp = compare_runs(self.report(50.0), self.report(50.0))
-        assert cmp.delta_joules == 0.0 and cmp.ratio == 1.0
-
-    def test_two_joules_more_is_about_eleven_percent(self):
-        cmp = compare_runs(self.report(18.0), self.report(20.0))
-        assert cmp.delta_joules == pytest.approx(2.0)
-        assert cmp.ratio == pytest.approx(1.111, abs=1e-3)
-
-    def test_zero_baseline_has_no_ratio(self):
-        cmp = compare_runs(self.report(0.0), self.report(5.0))
-        assert cmp.delta_joules == 5.0 and cmp.ratio is None
 
 
 def test_mean_power_consistent_with_energy():

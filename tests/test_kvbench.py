@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from teebench import kvbench
 from teebench.core import Execution, SharedMode
 from teebench.kvbench import (
     OP_CHUNK,
@@ -12,6 +14,7 @@ from teebench.kvbench import (
     op_types,
     run_kv_bench,
 )
+from teebench.kvstore import bucket_of
 
 FAST_RATES = (512, 4096, 32768)
 
@@ -92,6 +95,20 @@ class TestDirectSeries:
                           (Workload.PUT, Workload.GET, Workload.DEL))
         assert put >= get * 0.98
         assert get >= del_ * 0.98
+
+    def test_keys_are_slot_indices_spread_over_the_buckets(self, monkeypatch):
+        keys = set()
+
+        class RecordingStore(kvbench.KvStore):
+            def put(self, key, value):
+                keys.add(key)
+                super().put(key, value)
+
+        monkeypatch.setattr(kvbench, "KvStore", RecordingStore)
+        run_kv_bench(Workload.PUT, rates=(32768,), seed=7)
+        assert keys and all(0 <= key < SLOT_COUNT for key in keys)
+        per_bucket = Counter(bucket_of(key) for key in keys)
+        assert max(per_bucket.values()) <= 2
 
 
 class TestBoundarySeries:

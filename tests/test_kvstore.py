@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teebench.kvstore import BUCKET_COUNT, KvMemoryError, KvStore, bucket_of
+from teebench.kvstore import BUCKET_COUNT, KvStore, bucket_of
 
 
 class TestBasics:
@@ -46,31 +46,6 @@ class TestBasics:
         store.put(1, memoryview(buf))
         buf[0] = 0
         assert store.get(1) == b"mutable!"
-
-
-class TestMemoryCap:
-    def test_put_over_cap_fails_and_preserves_state(self):
-        store = KvStore(memory_cap=10)
-        store.put(1, b"123456")
-        with pytest.raises(KvMemoryError):
-            store.put(2, b"123456")
-        assert store.get(2) is None
-        assert store.get(1) == b"123456"
-        assert store.bytes_used == 6
-
-    def test_replace_accounts_for_the_old_value(self):
-        store = KvStore(memory_cap=10)
-        store.put(1, b"12345678")
-        store.put(1, b"xy")
-        assert store.bytes_used == 2
-        store.put(2, b"12345678")
-
-    def test_delete_releases_budget(self):
-        store = KvStore(memory_cap=4)
-        store.put(1, b"abcd")
-        store.delete(1)
-        store.put(2, b"wxyz")
-        assert store.get(2) == b"wxyz"
 
 
 def test_model_equivalence_ten_thousand_random_ops():

@@ -2,9 +2,12 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from teebench.boundary.errors import BoundaryError
 from teebench.boundary.protocol import (
     Command,
+    HEADER,
     HEADER_SIZE,
     IoctlCode,
     pack_invoke_body,
@@ -23,7 +26,7 @@ from teebench.boundary.protocol import (
     write_message,
 )
 from teebench.boundary.regions import RegionDescriptor
-from teebench.core import SharedMode
+from teebench.core import TA_MEMORY_LIMIT, SharedMode
 
 
 @pytest.fixture
@@ -92,6 +95,49 @@ def test_large_body_crosses_pipe_buffer(pipe):
     msg = read_message(r)
     writer.join()
     assert msg.body == body
+
+
+def test_oversized_body_length_is_rejected_before_reading(pipe):
+    r, w = pipe
+    os.write(w, HEADER.pack(Command.RETURN, 0, 0, 2**40, 0))
+    with pytest.raises(BoundaryError):
+        read_message(r)
+
+
+def test_oversized_body_is_not_written():
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        with pytest.raises(ValueError):
+            write_message(fd, Command.RETURN, body=bytes(TA_MEMORY_LIMIT + 1))
+    finally:
+        os.close(fd)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_I64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def frames(draw) -> bytes:
+    """One valid frame: a body frame or a region reference."""
+    if draw(st.booleans()):
+        body = draw(st.binary(max_size=512))
+        return HEADER.pack(Command.RETURN, 0, 0, len(body), draw(_I64)) + body
+    return HEADER.pack(Command.SOCK_SEND, draw(st.integers(1, 2**32 - 1)),
+                       draw(_U64), draw(_U64), draw(_I64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=frames(), data=st.data())
+def test_truncated_frame_reads_as_eof(raw, data):
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    r, w = os.pipe()
+    try:
+        os.write(w, raw[:cut])
+        os.close(w)
+        assert read_message(r) is None
+    finally:
+        os.close(r)
 
 
 def desc(region_id=9, mode=SharedMode.PARTIAL):

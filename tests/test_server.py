@@ -133,29 +133,3 @@ def test_bind_failure_raises():
             BenchmarkServer(ServerConfig(bind="127.0.0.1",
                                          port=server.port)).start()
 
-
-def test_serve_generator_yields_flow_records():
-    import threading
-
-    from teebench.server import serve
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-
-    stream = serve(ServerConfig(bind="127.0.0.1", port=port))
-    results = []
-    consumer = threading.Thread(target=lambda: results.append(next(stream)),
-                                daemon=True)
-    consumer.start()
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
-        try:
-            blast(port, b"g" * 2048)
-            break
-        except OSError:
-            time.sleep(0.05)
-    consumer.join(timeout=10)
-    stream.close()
-    assert results and results[0].bytes_received == 2048

@@ -29,10 +29,6 @@ class TestDummyBuffer:
         with pytest.raises(ValueError):
             fill_dummy_buffer(0, 1)
 
-    def test_over_cap_is_out_of_memory(self):
-        with pytest.raises(MemoryError):
-            fill_dummy_buffer(2 * 1024 * 1024, 0, cap=1024 * 1024)
-
 
 class TestPace:
     # 128 KiB at 1 Mbit/s: 131072 * 8 / 1e6 = 1.048576 s per chunk
