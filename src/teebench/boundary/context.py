@@ -166,8 +166,7 @@ class Session:
         scratch_id = next(ctx._region_ids)
         self._scratch = SharedRegion(scratch_id, TA_MEMORY_LIMIT, SharedMode.WHOLE)
         self._supplicant = Supplicant()
-        self._known_regions: dict[int, SharedRegion] = {scratch_id: self._scratch}
-        self._note_regions(args_regions)
+        self._relay_regions = {scratch_id: self._scratch}  # all a relayed call may name
         self._channel = None
         try:
             self._channel = _CHANNELS[ctx.transport](self)
@@ -199,16 +198,16 @@ class Session:
         self._cross()
         return status, body
 
-    def _serve(self, msg: Message) -> tuple[int, bytes]:
+    def _serve(self, msg: Message) -> int:
         """Service one relayed socket call the trusted side made."""
         self._cross()
-        status, body = self._supplicant.service(msg, self._known_regions)
+        status = self._supplicant.service(msg, self._relay_regions)
         copied = 0
         if msg.command in (Command.SOCK_SEND, Command.SOCK_RECV) and status > 0:
             copied = status
         self._ctx._record(rpcs=1, copied=copied)
         self._cross()
-        return status, body
+        return status
 
     # -- public operations -----------------------------------------------------
 
@@ -218,16 +217,11 @@ class Session:
         if not self._op_lock.acquire(blocking=False):
             raise SessionStateError("an invocation is already in flight")
 
-    def _note_regions(self, regions):
-        for region in regions:
-            self._known_regions[region.region_id] = region
-
     def invoke(self, command: int, regions=(), values=()) -> InvokeResult:
         self._begin_op()
         try:
             if isinstance(regions, SharedRegion):
                 regions = (regions,)
-            self._note_regions(regions)
             body = pack_invoke_body(
                 command, [r.descriptor for r in regions], tuple(values)
             )
@@ -308,8 +302,7 @@ class _ProcessChannel:
                 raise BoundaryError("trusted process terminated unexpectedly")
             if msg.command == Command.RETURN:
                 return msg.status, msg.body
-            status, reply = self._serve(msg)
-            write_message(self._wfd, Command.RETURN, status=status, body=reply)
+            write_message(self._wfd, Command.RETURN, status=self._serve(msg))
 
     def close(self) -> None:
         for fd in (self._wfd, self._rfd):
@@ -328,7 +321,7 @@ class _InlineChannel:
 
     def __init__(self, session: Session):
         def rpc(*fields) -> int:
-            return session._serve(Message(*fields))[0]
+            return session._serve(Message(*fields))
 
         self.runtime = TrustedRuntime(rpc)
         self.exchange = self.runtime.dispatch

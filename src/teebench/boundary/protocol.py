@@ -13,11 +13,12 @@ Every message starts with a fixed-width little-endian header::
 When ``region_id == 0`` and ``length > 0``, exactly ``length`` bytes of
 body follow the header; otherwise nothing does. A body is at most
 ``TA_MEMORY_LIMIT`` bytes: a header asking for more is rejected before
-anything is read. Bulk payloads never ride
-the pipe: they are staged in a shared region and referenced by
-(region_id, offset, length). Each message delivered over the pipe is one
-world crossing. An alternate supplicant that speaks this framing and the
-SOCK_* command set below can replace the built-in one.
+anything is read. Bulk payloads never ride the pipe: a relayed SOCK_SEND
+or SOCK_RECV stages its payload in the session scratch region and names
+it by (region_id, offset, length), and the RETURN to any relayed call
+carries its status and no body. Each message delivered over the pipe is
+one world crossing. An alternate supplicant that speaks this framing and
+the SOCK_* command set below can replace the built-in one.
 """
 
 from __future__ import annotations
@@ -155,64 +156,47 @@ def unpack_region_descriptor(buf: bytes, pos: int) -> tuple[RegionDescriptor, in
     return desc, pos
 
 
+def _pack_regions(descs) -> bytes:
+    return struct.pack("<B", len(descs)) + b"".join(map(pack_region_descriptor, descs))
+
+
+def _unpack_regions(buf: bytes, pos: int) -> tuple[list[RegionDescriptor], int]:
+    (count,) = struct.unpack_from("<B", buf, pos)
+    pos += 1
+    descs = []
+    for _ in range(count):
+        desc, pos = unpack_region_descriptor(buf, pos)
+        descs.append(desc)
+    return descs, pos
+
+
 def pack_open_body(ta_name: str, scratch: RegionDescriptor,
                    args_regions) -> bytes:
     name = ta_name.encode()
-    out = struct.pack("<H", len(name)) + name
-    out += pack_region_descriptor(scratch)
-    out += struct.pack("<B", len(args_regions))
-    for desc in args_regions:
-        out += pack_region_descriptor(desc)
-    return out
+    return (struct.pack("<H", len(name)) + name
+            + pack_region_descriptor(scratch) + _pack_regions(args_regions))
 
 
 def unpack_open_body(body: bytes):
     (nlen,) = struct.unpack_from("<H", body, 0)
-    pos = 2
-    name = body[pos:pos + nlen].decode()
-    pos += nlen
-    scratch, pos = unpack_region_descriptor(body, pos)
-    (nregions,) = struct.unpack_from("<B", body, pos)
-    pos += 1
-    regions = []
-    for _ in range(nregions):
-        desc, pos = unpack_region_descriptor(body, pos)
-        regions.append(desc)
+    name = body[2:2 + nlen].decode()
+    scratch, pos = unpack_region_descriptor(body, 2 + nlen)
+    regions, _ = _unpack_regions(body, pos)
     return name, scratch, regions
 
 
 def pack_invoke_body(ta_command: int, regions, values) -> bytes:
-    out = struct.pack("<IB", ta_command, len(regions))
-    for desc in regions:
-        out += pack_region_descriptor(desc)
-    out += struct.pack("<B", len(values))
-    for v in values:
-        out += struct.pack("<Q", v)
-    return out
+    return struct.pack("<I", ta_command) + _pack_regions(regions) + pack_values(values)
 
 
 def unpack_invoke_body(body: bytes):
-    ta_command, nregions = struct.unpack_from("<IB", body, 0)
-    pos = 5
-    regions = []
-    for _ in range(nregions):
-        desc, pos = unpack_region_descriptor(body, pos)
-        regions.append(desc)
-    (nvalues,) = struct.unpack_from("<B", body, pos)
-    pos += 1
-    values = []
-    for _ in range(nvalues):
-        (v,) = struct.unpack_from("<Q", body, pos)
-        pos += 8
-        values.append(v)
-    return ta_command, regions, values
+    (ta_command,) = struct.unpack_from("<I", body, 0)
+    regions, pos = _unpack_regions(body, 4)
+    return ta_command, regions, unpack_values(body[pos:])
 
 
 def pack_values(values) -> bytes:
-    out = struct.pack("<B", len(values))
-    for v in values:
-        out += struct.pack("<Q", v)
-    return out
+    return struct.pack(f"<B{len(values)}Q", len(values), *values)
 
 
 def unpack_values(body: bytes) -> tuple[int, ...]:

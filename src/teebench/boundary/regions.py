@@ -78,6 +78,12 @@ def _check_window(size: int, mode: SharedMode, offset: int, length: int | None):
     return length
 
 
+def _check_span(offset: int, length: int, limit: int) -> None:
+    """Fault unless [offset, offset + length) lies within [0, limit)."""
+    if offset < 0 or length < 0 or offset + length > limit:
+        raise RegionFault(f"access [{offset}, {offset + length}) outside [0, {limit})")
+
+
 class SharedRegion:
     """Normal-world handle to one shared memory area.
 
@@ -124,30 +130,21 @@ class SharedRegion:
 
     def write(self, offset: int, data) -> None:
         self._check_open()
-        data = bytes(data)
-        if offset < 0 or offset + len(data) > self.size:
-            raise RegionFault(
-                f"write [{offset}, {offset + len(data)}) outside region of {self.size} B"
-            )
-        self._map[offset:offset + len(data)] = data
+        length = memoryview(data).nbytes
+        _check_span(offset, length, self.size)
+        self._map[offset:offset + length] = data
 
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise RegionFault(
-                f"read [{offset}, {offset + length}) outside region of {self.size} B"
-            )
-        return bytes(self._map[offset:offset + length])
+        _check_span(offset, length, self.size)
+        return self._map[offset:offset + length]
 
     def window_read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > self.window_length:
-            raise RegionFault("window read outside the shared window")
+        _check_span(offset, length, self.window_length)
         return self.read(self.window_offset + offset, length)
 
     def window_write(self, offset: int, data) -> None:
-        data = bytes(data)
-        if offset < 0 or offset + len(data) > self.window_length:
-            raise RegionFault("window write outside the shared window")
+        _check_span(offset, memoryview(data).nbytes, self.window_length)
         self.write(self.window_offset + offset, data)
 
     def release(self) -> None:
@@ -198,22 +195,18 @@ class TrustedRegionView:
                 f"region {self.descriptor.region_id} no longer shared "
                 f"({self.descriptor.lifetime.value} lifetime expired)"
             )
-        if offset < 0 or length < 0 or offset + length > self.descriptor.window_length:
-            raise RegionFault(
-                f"access [{offset}, {offset + length}) outside window of "
-                f"{self.descriptor.window_length} B"
-            )
+        _check_span(offset, length, self.descriptor.window_length)
 
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
         base = self.descriptor.window_offset + offset
-        return bytes(self._map[base:base + length])
+        return self._map[base:base + length]
 
     def write(self, offset: int, data) -> None:
-        data = bytes(data)
-        self._check(offset, len(data))
+        length = memoryview(data).nbytes
+        self._check(offset, length)
         base = self.descriptor.window_offset + offset
-        self._map[base:base + len(data)] = data
+        self._map[base:base + length] = data
 
     def revoke(self) -> None:
         if not self._revoked:

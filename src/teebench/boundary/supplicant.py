@@ -1,10 +1,12 @@
 """Relay agent performing real OS socket work on behalf of the trusted side.
 
-One supplicant serves one session. Payload bytes move through the
-session's scratch region; the supplicant never sees more than the
-(region, offset, length) reference carried by the descriptor. Handle 0
-is a built-in always-open discard sink that swallows sends and returns
-EOF on recv, used by scripted crossing-accounting runs.
+One supplicant serves one session. Payload bytes move only through the
+session's scratch region: a relayed call names it by (region, offset,
+length), any other region id is EFAULT, and the answer is one int
+status. The supplicant keeps each handle's last OS errno, which
+SOCK_ERROR answers, also after SOCK_CLOSE. Handle 0 is a built-in
+always-open discard sink that swallows sends and returns EOF on recv,
+used by scripted crossing-accounting runs.
 
 ``OsSocket`` is the one OS-socket surface of the package: the supplicant
 maps each handle to one, and native (direct) runs use it as is.
@@ -33,13 +35,12 @@ DISCARD_HANDLE = 0
 class OsSocket:
     """Connected OS socket with the same surface as the relayed facade.
 
-    An OS failure is recorded as the socket's last errno and re-raised,
-    so ``error()`` answers like a relayed SOCK_ERROR.
+    An OS failure propagates as ``OSError``; over the relay the supplicant
+    records its errno as the handle's last error.
     """
 
     def __init__(self, host: str, port: int, protocol: Protocol):
         self.protocol = protocol
-        self._last_errno = 0
         if protocol is Protocol.TCP:
             self.raw = socket.create_connection((host, port))
         else:
@@ -50,45 +51,26 @@ class OsSocket:
                 self.raw.close()
                 raise
 
-    def _failed(self, exc: OSError) -> OSError:
-        self._last_errno = exc.errno or errno.EIO
-        return exc
-
     def send(self, data) -> int:
-        try:
-            return self.raw.send(data)
-        except OSError as exc:
-            raise self._failed(exc)
+        return self.raw.send(data)
 
     def recv(self, max_bytes: int) -> bytes:
-        try:
-            return self.raw.recv(max_bytes)
-        except OSError as exc:
-            raise self._failed(exc)
+        return self.raw.recv(max_bytes)
 
     def ioctl(self, code: IoctlCode, arg) -> None:
-        if code == IoctlCode.SET_PEER and self.protocol is not Protocol.UDP:
-            raise OSError(errno.EOPNOTSUPP, "SET_PEER needs a UDP socket")
-        if code not in (IoctlCode.SET_BUF_SIZES, IoctlCode.SET_PEER):
+        if code == IoctlCode.SET_BUF_SIZES:
+            send_size, recv_size = arg
+            self.raw.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, send_size)
+            self.raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_size)
+        elif code != IoctlCode.SET_PEER:
             raise OSError(errno.EINVAL, f"unknown ioctl code {code}")
-        try:
-            if code == IoctlCode.SET_BUF_SIZES:
-                send_size, recv_size = arg
-                self.raw.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, send_size)
-                self.raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_size)
-            else:
-                self.raw.connect(arg)
-        except OSError as exc:
-            raise self._failed(exc)
-
-    def error(self) -> int:
-        return self._last_errno
+        elif self.protocol is not Protocol.UDP:
+            raise OSError(errno.EOPNOTSUPP, "SET_PEER needs a UDP socket")
+        else:
+            self.raw.connect(arg)
 
     def close(self) -> None:
-        try:
-            self.raw.close()
-        except OSError as exc:
-            raise self._failed(exc)
+        self.raw.close()
 
 
 def _window(regions, msg: Message):
@@ -101,58 +83,59 @@ def _window(regions, msg: Message):
 class Supplicant:
     def __init__(self):
         self._sockets: dict[int, OsSocket] = {}
-        self._closed: dict[int, OsSocket] = {}  # SOCK_ERROR still answers for these
+        self._errnos: dict[int, int] = {}  # last OS errno per handle, kept after close
         self._next_handle = 1
 
-    def service(self, msg: Message, regions) -> tuple[int, bytes]:
-        """Execute one relayed call; returns (status, reply_body).
+    def service(self, msg: Message, regions) -> int:
+        """Execute one relayed call and return its status.
 
         ``regions`` maps region_id to an object with window_read/window_write.
         Status is >= 0 on success (handle or byte count) and -errno on
         failure: the OS errno verbatim, EBADF for an unknown handle, EFAULT
         for a region id or window the session does not share and EINVAL
-        for a request body that does not decode or apply.
+        for a request body that does not decode or apply. An OS errno is
+        also kept as the handle's last error, which SOCK_ERROR answers.
         """
         cmd = msg.command
         handle = msg.status
         if cmd == Command.SOCK_ERROR:
-            sock = self._sockets.get(handle) or self._closed.get(handle)
-            return (sock.error() if sock is not None else 0), b""
+            return self._errnos.get(handle, 0)
         try:
             if cmd == Command.SOCK_OPEN:
-                return self._open(msg), b""
+                return self._open(msg)
             if handle == DISCARD_HANDLE:
                 if cmd == Command.SOCK_SEND:
                     # the copy out of shared memory still happens; bytes then vanish
                     _window(regions, msg).window_read(msg.offset, msg.length)
-                    return msg.length, b""
-                return 0, b""
+                    return msg.length
+                return 0
             sock = self._sockets.get(handle)
             if sock is None:
-                return -errno.EBADF, b""
+                return -errno.EBADF
             if cmd == Command.SOCK_SEND:
                 data = _window(regions, msg).window_read(msg.offset, msg.length)
-                return sock.send(data), b""
+                return sock.send(data)
             if cmd == Command.SOCK_RECV:
                 region = _window(regions, msg)
                 data = sock.recv(msg.length)
                 if data:
                     region.window_write(msg.offset, data)
-                return len(data), b""
+                return len(data)
             if cmd == Command.SOCK_CLOSE:
-                self._closed[handle] = self._sockets.pop(handle)
+                del self._sockets[handle]
                 sock.close()
-                return 0, b""
+                return 0
             if cmd == Command.SOCK_IOCTL:
                 sock.ioctl(*unpack_ioctl_body(msg.body))
-                return 0, b""
+                return 0
         except RegionFault:
-            return -errno.EFAULT, b""
+            return -errno.EFAULT
         except OSError as exc:
-            return -(exc.errno or errno.EIO), b""
+            err = self._errnos[handle] = exc.errno or errno.EIO
+            return -err
         except (struct.error, ValueError, OverflowError):
-            return -errno.EINVAL, b""
-        return -errno.EINVAL, b""
+            return -errno.EINVAL
+        return -errno.EINVAL
 
     def _open(self, msg: Message) -> int:
         code, host, port = unpack_sock_open_body(msg.body)

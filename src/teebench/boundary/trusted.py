@@ -220,8 +220,7 @@ class TrustedRuntime:
                 return self.handle_open(*unpack_open_body(body)), b""
             if command == Command.INVOKE:
                 ta_command, region_descs, values = unpack_invoke_body(body)
-                status, out = self.handle_invoke(
-                    ta_command, region_descs, tuple(values))
+                status, out = self.handle_invoke(ta_command, region_descs, values)
                 return status, pack_values(out)
             if command == Command.CLOSE:
                 return self.handle_close(), b""

@@ -349,8 +349,7 @@ def _run_client_role(inv: ParsedInvocation, stream) -> dict:
     return payload
 
 
-def _run_server_role(inv: ParsedInvocation, stream,
-                     stop_event=None, flow_limit=None) -> dict:
+def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
     cfg = inv.config
     server_cfg = ServerConfig(
         port=cfg.port,
@@ -364,8 +363,6 @@ def _run_server_role(inv: ParsedInvocation, stream,
     seen = 0
     try:
         while True:
-            if stop_event is not None and stop_event.is_set():
-                break
             try:
                 record = server.next_record(timeout=0.2)
             except queue.Empty:
@@ -425,14 +422,14 @@ def _run_energy_role(inv: ParsedInvocation, stream) -> dict:
     return payload
 
 
-def main(argv=None, stream=None, stop_event=None, flow_limit=None) -> int:
+def main(argv=None, stream=None, flow_limit=None) -> int:
     inv = parse_args(argv if argv is not None else sys.argv[1:])
     stream = stream if stream is not None else sys.stdout
     try:
         if inv.role == "client":
             payload = _run_client_role(inv, stream)
         elif inv.role == "server":
-            payload = _run_server_role(inv, stream, stop_event, flow_limit)
+            payload = _run_server_role(inv, stream, flow_limit)
         elif inv.role == "kvbench":
             payload = _run_kvbench_role(inv, stream)
         else:

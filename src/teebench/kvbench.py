@@ -195,7 +195,6 @@ def run_kv_bench(
     execution: Execution = Execution.DIRECT,
     *,
     rates=RATES,
-    ops_per_rate: int = OPS_PER_RATE,
     seed: int = 0,
     prepopulate: bool = False,
     switch_cost: float = 0.0,
@@ -242,7 +241,7 @@ def run_kv_bench(
 
         records = []
         for rate in rates:
-            ops = ops_per_rate
+            ops = OPS_PER_RATE
             if max_seconds_per_rate is not None:
                 ops = min(ops, max(4, int(rate * max_seconds_per_rate)))
             types = op_types(workload, ops, rng)

@@ -77,6 +77,22 @@ class _BadRelayTa:
         return TeeResult.SUCCESS, (-unknown, -outside, -malformed)
 
 
+@register_ta("test-stale-region")
+class _StaleRegionTa:
+    """Keeps the id of the region shared with the first invocation and
+    relays a send naming it from the second; reports (failed, |status|)."""
+
+    region_id = 0
+
+    def on_invoke(self, env, command, params):
+        if params.regions:
+            self.region_id = params.regions[0].descriptor.region_id
+            return TeeResult.SUCCESS
+        status = env.relay(Command.SOCK_SEND, region_ref=(self.region_id, 0, 16),
+                           handle=DISCARD_HANDLE)
+        return TeeResult.SUCCESS, (int(status < 0), abs(status))
+
+
 @register_ta("test-raiser")
 class _RaisingTa:
     def on_invoke(self, env, command, params):
@@ -422,6 +438,18 @@ class TestFaultContainment:
         ctx.finalize()
         assert shm_segments() == before
 
+    def test_relay_naming_an_expired_temporary_region_faults(self, transport):
+        ctx = initialize_context(transport=transport)
+        region = ctx.allocate_shared_region(4 * KIB, SharedMode.TEMPORARY)
+        session = ctx.open_session("test-stale-region")
+        assert session.invoke(1, regions=(region,)).status == TeeResult.SUCCESS
+        result = session.invoke(1)
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (1, errno.EFAULT)
+        session.close()
+        ctx.release_region(region)
+        ctx.finalize()
+
     def test_unmapped_trusted_exception_is_generic(self, transport, capfd):
         ctx = initialize_context(transport=transport)
         session = ctx.open_session("test-raiser")
@@ -479,13 +507,13 @@ class TestSupplicantIoctl:
         supplicant = Supplicant()
         from teebench.boundary.protocol import pack_sock_open_body
 
-        handle, _ = supplicant.service(
+        handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
                     pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
             {},
         )
         assert handle > 0
-        status, _ = supplicant.service(
+        status = supplicant.service(
             Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
                     pack_ioctl_body(IoctlCode.SET_BUF_SIZES, (64 * KIB, 32 * KIB))),
             {},
@@ -501,12 +529,12 @@ class TestSupplicantIoctl:
         supplicant = Supplicant()
         from teebench.boundary.protocol import pack_sock_open_body
 
-        handle, _ = supplicant.service(
+        handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
                     pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
             {},
         )
-        status, _ = supplicant.service(
+        status = supplicant.service(
             Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
                     pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1))),
             {},
@@ -516,9 +544,29 @@ class TestSupplicantIoctl:
         assert status == -errno_mod.EOPNOTSUPP
         supplicant.close_all()
 
+    def test_refused_ioctl_is_the_last_errno_also_after_close(self, tcp_server):
+        from teebench.boundary.protocol import pack_sock_open_body
+
+        supplicant = Supplicant()
+        handle = supplicant.service(
+            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
+                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+            {},
+        )
+        supplicant.service(
+            Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
+                    pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1))),
+            {},
+        )
+        last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
+        assert supplicant.service(last_error, {}) == errno.EOPNOTSUPP
+        assert supplicant.service(
+            Message(Command.SOCK_CLOSE, 0, 0, 0, handle), {}) == 0
+        assert supplicant.service(last_error, {}) == errno.EOPNOTSUPP
+
     def test_unknown_handle_is_ebadf(self):
         supplicant = Supplicant()
-        status, _ = supplicant.service(
+        status = supplicant.service(
             Message(Command.SOCK_CLOSE, 0, 0, 0, 42, b""), {})
         import errno as errno_mod
 
@@ -529,7 +577,7 @@ class TestSupplicantIoctl:
         ctx = initialize_context(transport="inline")
         region = self._scratch_region(ctx)
         region.window_write(0, b"z" * 256)
-        status, _ = supplicant.service(
+        status = supplicant.service(
             Message(Command.SOCK_SEND, region.region_id, 0, 256, DISCARD_HANDLE),
             {region.region_id: region},
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import threading
 
@@ -169,6 +170,28 @@ def test_invoke_body_round_trip():
     assert command == 4
     assert regions == [desc()]
     assert tuple(values) == (0, 2**63, 2**64 - 1)
+
+
+def test_open_and_invoke_bodies_keep_their_wire_bytes():
+    # region descriptor: u32 id, u8 mode, u64 size, u64 window offset,
+    # u64 window length, u16 path length, path
+    scratch = RegionDescriptor(region_id=5, path="/s", size=8192,
+                               mode=SharedMode.WHOLE, window_offset=4096,
+                               window_length=4096)
+    temp = RegionDescriptor(region_id=6, path="/t", size=8192,
+                            mode=SharedMode.TEMPORARY, window_offset=4096,
+                            window_length=4096)
+    assert pack_open_body("kv", scratch, [temp]) == bytes.fromhex(
+        "0200 6b76"
+        "05000000 01 0020000000000000 0010000000000000 0010000000000000 0200 2f73"
+        "01"
+        "06000000 03 0020000000000000 0010000000000000 0010000000000000 0200 2f74")
+    partial = dataclasses.replace(temp, mode=SharedMode.PARTIAL)
+    assert pack_invoke_body(3, [partial], (1, 2**64 - 1)) == bytes.fromhex(
+        "03000000"
+        "01"
+        "06000000 02 0020000000000000 0010000000000000 0010000000000000 0200 2f74"
+        "02 0100000000000000 ffffffffffffffff")
 
 
 def test_values_round_trip():
