@@ -12,6 +12,12 @@ and nowhere else: a relayed socket call costs two crossings and an
 open/invoke/close costs two. The caller's thread stays blocked for the
 whole invocation; it is the thread that services the trusted side's
 relayed calls.
+
+Counts are kept per session, without a lock: only the session's one
+in-flight operation writes them. A session registers with its context
+when it is created and folds its counts into the context's totals when
+it is torn down, also after a failed open; ``Context.stats`` sums the
+totals and every live session on read.
 """
 
 from __future__ import annotations
@@ -33,7 +39,12 @@ from .errors import (
     TaNotFoundError,
 )
 from .protocol import (
-    Command,
+    CLOSE,
+    INVOKE,
+    OPEN,
+    RETURN,
+    SOCK_RECV,
+    SOCK_SEND,
     Message,
     TeeResult,
     pack_invoke_body,
@@ -51,7 +62,12 @@ REGION_CAP = 64 * MIB  # shared-region bytes one context may have outstanding
 
 @dataclass
 class BoundaryStats:
-    """Counts and accumulated cost of world-boundary traffic."""
+    """Counts and accumulated cost of world-boundary traffic.
+
+    Each session keeps its own counts; ``Context.stats`` returns their
+    sum, with ``injected_cost_total`` computed as crossings times the
+    context's switch cost.
+    """
 
     crossings: int = 0              # secure->normal plus normal->secure
     injected_cost_total: float = 0.0
@@ -60,6 +76,11 @@ class BoundaryStats:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def _add(self, other: "BoundaryStats") -> None:
+        self.crossings += other.crossings
+        self.rpc_count += other.rpc_count
+        self.bytes_copied += other.bytes_copied
 
 
 InvokeResult = namedtuple("InvokeResult", "status values")
@@ -76,7 +97,7 @@ class Context:
         self._regions: dict[int, SharedRegion] = {}
         self._sessions: list["Session"] = []
         self._region_ids = itertools.count(1)  # 0 means "no region" on the wire
-        self._stats = BoundaryStats()
+        self._stats = BoundaryStats()   # totals of the sessions torn down
         self._lock = threading.Lock()
         self._finalized = False
 
@@ -84,15 +105,13 @@ class Context:
 
     @property
     def stats(self) -> BoundaryStats:
+        total = BoundaryStats()
         with self._lock:
-            return dataclasses.replace(self._stats)
-
-    def _record(self, *, crossings: int = 0, rpcs: int = 0, copied: int = 0):
-        with self._lock:
-            self._stats.crossings += crossings
-            self._stats.rpc_count += rpcs
-            self._stats.bytes_copied += copied
-            self._stats.injected_cost_total = self._stats.crossings * self.switch_cost
+            total._add(self._stats)
+            for session in self._sessions:
+                total._add(session._stats)
+        total.injected_cost_total = total.crossings * self.switch_cost
+        return total
 
     # -- regions ---------------------------------------------------------------
 
@@ -124,13 +143,7 @@ class Context:
         self._check_live()
         if isinstance(args_regions, SharedRegion):
             args_regions = (args_regions,)
-        session = Session(self, ta_name, tuple(args_regions))
-        self._sessions.append(session)
-        return session
-
-    def _session_closed(self, session: "Session"):
-        if session in self._sessions:
-            self._sessions.remove(session)
+        return Session(self, ta_name, tuple(args_regions))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -163,16 +176,19 @@ class Session:
         self._ctx = ctx
         self.closed = False
         self._op_lock = threading.Lock()
+        self._stats = BoundaryStats()   # written only by the in-flight op
         scratch_id = next(ctx._region_ids)
         self._scratch = SharedRegion(scratch_id, TA_MEMORY_LIMIT, SharedMode.WHOLE)
         self._supplicant = Supplicant()
         self._relay_regions = {scratch_id: self._scratch}  # all a relayed call may name
         self._channel = None
+        with ctx._lock:
+            ctx._sessions.append(self)
         try:
             self._channel = _CHANNELS[ctx.transport](self)
             body = pack_open_body(ta_name, self._scratch.descriptor,
                                   [r.descriptor for r in args_regions])
-            status, _ = self._call(Command.OPEN, body)
+            status, _ = self._call(OPEN, body)
             if status == TeeResult.NOT_FOUND:
                 raise TaNotFoundError(f"no trusted application named {ta_name!r}")
             if status != TeeResult.SUCCESS:
@@ -187,9 +203,8 @@ class Session:
 
     def _cross(self) -> None:
         """One world switch: counted once and charged once."""
-        ctx = self._ctx
-        ctx._record(crossings=1)
-        clock.inject_delay(ctx.switch_cost)
+        self._stats.crossings += 1
+        clock.inject_delay(self._ctx.switch_cost)
 
     def _call(self, command: int, body: bytes) -> tuple[int, bytes]:
         """Enter the trusted world with a request and return with its reply."""
@@ -202,10 +217,10 @@ class Session:
         """Service one relayed socket call the trusted side made."""
         self._cross()
         status = self._supplicant.service(msg, self._relay_regions)
-        copied = 0
-        if msg.command in (Command.SOCK_SEND, Command.SOCK_RECV) and status > 0:
-            copied = status
-        self._ctx._record(rpcs=1, copied=copied)
+        stats = self._stats
+        stats.rpc_count += 1
+        if status > 0 and (msg.command == SOCK_SEND or msg.command == SOCK_RECV):
+            stats.bytes_copied += status
         self._cross()
         return status
 
@@ -225,7 +240,7 @@ class Session:
             body = pack_invoke_body(
                 command, [r.descriptor for r in regions], tuple(values)
             )
-            status, reply = self._call(Command.INVOKE, body)
+            status, reply = self._call(INVOKE, body)
             return InvokeResult(TeeResult(status), unpack_values(reply))
         finally:
             self._op_lock.release()
@@ -233,18 +248,21 @@ class Session:
     def close(self) -> None:
         self._begin_op()
         try:
-            self._call(Command.CLOSE, b"")
+            self._call(CLOSE, b"")
         finally:
             self._teardown()
             self._op_lock.release()
 
     def _teardown(self):
         self.closed = True
+        ctx = self._ctx
+        with ctx._lock:
+            ctx._sessions.remove(self)
+            ctx._stats._add(self._stats)
         if self._channel is not None:
             self._channel.close()
         self._supplicant.close_all()
         self._scratch.release()
-        self._ctx._session_closed(self)
 
 
 # --------------------------------------------------------------------------
@@ -267,9 +285,9 @@ def _trusted_process_main(rfd: int, wfd: int) -> None:
         if msg is None:
             break
         status, body = runtime.dispatch(msg.command, msg.body)
-        write_message(wfd, Command.RETURN, status=status, body=body)
-        if msg.command == Command.CLOSE or (
-                msg.command == Command.OPEN and status != TeeResult.SUCCESS):
+        write_message(wfd, RETURN, status=status, body=body)
+        if msg.command == CLOSE or (
+                msg.command == OPEN and status != TeeResult.SUCCESS):
             break
     os.close(rfd)
     os.close(wfd)
@@ -300,9 +318,9 @@ class _ProcessChannel:
             msg = read_message(self._rfd)
             if msg is None:
                 raise BoundaryError("trusted process terminated unexpectedly")
-            if msg.command == Command.RETURN:
+            if msg.command == RETURN:
                 return msg.status, msg.body
-            write_message(self._wfd, Command.RETURN, status=self._serve(msg))
+            write_message(self._wfd, RETURN, status=self._serve(msg))
 
     def close(self) -> None:
         for fd in (self._wfd, self._rfd):

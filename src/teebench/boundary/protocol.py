@@ -19,6 +19,11 @@ it by (region_id, offset, length), and the RETURN to any relayed call
 carries its status and no body. Each message delivered over the pipe is
 one world crossing. An alternate supplicant that speaks this framing and
 the SOCK_* command set below can replace the built-in one.
+
+Sending a frame is one ``os.write`` of header plus body; reading one is
+one ``os.read`` of the header, plus one read of the body when there is
+one. Only a short read or write loops to finish the frame, and a frame
+cut short by EOF reads as EOF.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core import TA_MEMORY_LIMIT
 from .errors import BoundaryError
@@ -50,6 +55,12 @@ class Command(enum.IntEnum):
     SOCK_CLOSE = 35
     SOCK_IOCTL = 36
     SOCK_ERROR = 37
+
+
+# The same ids as plain ints: dispatch on the relay path compares against
+# these, which skips the enum attribute lookup.
+(OPEN, INVOKE, CLOSE, RETURN, SOCK_OPEN, SOCK_SEND, SOCK_RECV, SOCK_CLOSE,
+ SOCK_IOCTL, SOCK_ERROR) = map(int, Command)
 
 
 class TeeResult(enum.IntEnum):
@@ -77,8 +88,7 @@ class SocketProtocolCode(enum.IntEnum):
 NOOP_COMMAND = 0
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     command: int
     region_id: int
     offset: int
@@ -96,10 +106,11 @@ def write_message(fd: int, command: int, *, region_id: int = 0, offset: int = 0,
             raise ValueError(f"a {len(body)} B body is over the frame cap")
         length = len(body)
     data = HEADER.pack(command, region_id, offset, length, status) + body
-    view = memoryview(data)
-    while view:
-        n = os.write(fd, view)
-        view = view[n:]
+    n = os.write(fd, data)
+    if n < len(data):
+        view = memoryview(data)[n:]
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _read_exact(fd: int, n: int) -> bytes | None:
@@ -116,17 +127,22 @@ def _read_exact(fd: int, n: int) -> bytes | None:
 
 def read_message(fd: int) -> Message | None:
     """Read one framed message; None on EOF, also inside a frame."""
-    raw = _read_exact(fd, HEADER_SIZE)
-    if raw is None:
-        return None
-    command, region_id, offset, length, status = HEADER.unpack(raw)
-    body = b""
-    if region_id == 0 and length > 0:
-        if length > TA_MEMORY_LIMIT:
-            raise BoundaryError(f"a {length} B frame body is over the cap")
-        body = _read_exact(fd, length)
-        if body is None:
+    raw = os.read(fd, HEADER_SIZE)
+    if len(raw) < HEADER_SIZE:
+        if not raw:
             return None
+        rest = _read_exact(fd, HEADER_SIZE - len(raw))
+        if rest is None:
+            return None
+        raw += rest
+    command, region_id, offset, length, status = HEADER.unpack(raw)
+    if region_id or not length:
+        return Message(command, region_id, offset, length, status)
+    if length > TA_MEMORY_LIMIT:
+        raise BoundaryError(f"a {length} B frame body is over the cap")
+    body = _read_exact(fd, length)
+    if body is None:
+        return None
     return Message(command, region_id, offset, length, status, body)
 
 

@@ -21,7 +21,12 @@ import struct
 from ..core import Protocol
 from .errors import RegionFault
 from .protocol import (
-    Command,
+    SOCK_CLOSE,
+    SOCK_ERROR,
+    SOCK_IOCTL,
+    SOCK_OPEN,
+    SOCK_RECV,
+    SOCK_SEND,
     IoctlCode,
     Message,
     SocketProtocolCode,
@@ -98,13 +103,13 @@ class Supplicant:
         """
         cmd = msg.command
         handle = msg.status
-        if cmd == Command.SOCK_ERROR:
+        if cmd == SOCK_ERROR:
             return self._errnos.get(handle, 0)
         try:
-            if cmd == Command.SOCK_OPEN:
+            if cmd == SOCK_OPEN:
                 return self._open(msg)
             if handle == DISCARD_HANDLE:
-                if cmd == Command.SOCK_SEND:
+                if cmd == SOCK_SEND:
                     # the copy out of shared memory still happens; bytes then vanish
                     _window(regions, msg).window_read(msg.offset, msg.length)
                     return msg.length
@@ -112,20 +117,20 @@ class Supplicant:
             sock = self._sockets.get(handle)
             if sock is None:
                 return -errno.EBADF
-            if cmd == Command.SOCK_SEND:
+            if cmd == SOCK_SEND:
                 data = _window(regions, msg).window_read(msg.offset, msg.length)
                 return sock.send(data)
-            if cmd == Command.SOCK_RECV:
+            if cmd == SOCK_RECV:
                 region = _window(regions, msg)
                 data = sock.recv(msg.length)
                 if data:
                     region.window_write(msg.offset, data)
                 return len(data)
-            if cmd == Command.SOCK_CLOSE:
+            if cmd == SOCK_CLOSE:
                 del self._sockets[handle]
                 sock.close()
                 return 0
-            if cmd == Command.SOCK_IOCTL:
+            if cmd == SOCK_IOCTL:
                 sock.ioctl(*unpack_ioctl_body(msg.body))
                 return 0
         except RegionFault:

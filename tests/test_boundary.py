@@ -1,6 +1,7 @@
 import errno
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -218,6 +219,19 @@ class TestCrossingAccounting:
         assert stats.injected_cost_total == pytest.approx(stats.crossings * cost)
         ctx.finalize()
 
+    def test_each_crossing_injects_the_switch_cost_once(self, transport,
+                                                       monkeypatch):
+        injected = []
+        monkeypatch.setattr(clock, "inject_delay", injected.append)
+        ctx = initialize_context(transport=transport, switch_cost=1e-6)
+        session = ctx.open_session("probe")
+        session.invoke(ProbeCommand.SEND_DISCARD, values=(5, 64))
+        session.close()
+        crossings = ctx.stats.crossings
+        ctx.finalize()
+        assert crossings == 2 * (5 + 3)
+        assert injected == [1e-6] * crossings
+
     def test_switch_cost_stretches_wall_time(self, transport):
         # c = 5 ms is far above scheduling noise
         def run(cost):
@@ -236,6 +250,32 @@ class TestCrossingAccounting:
         injected = (2 * 20 + 2) * 0.005      # crossings inside the invoke
         assert slow - base >= injected * 0.85
         assert crossings_during == 2 * (20 + 3)
+
+
+class TestStatsAcrossSessionLifetimes:
+    def test_a_failed_open_is_counted_and_leaves_the_context_idle(self, transport):
+        ctx = initialize_context(transport=transport)
+        with pytest.raises(TaNotFoundError):
+            ctx.open_session("no-such-ta")
+        assert ctx.stats.crossings == 2
+        ctx.finalize()
+
+    def test_live_sessions_are_summed_on_read_and_folded_on_close(self, transport):
+        ctx = initialize_context(transport=transport)
+        first, second = ctx.open_session("probe"), ctx.open_session("probe")
+        first.invoke(ProbeCommand.SEND_DISCARD, values=(3, 64))
+        second.invoke(ProbeCommand.SEND_DISCARD, values=(5, 128))
+        live = ctx.stats
+        parts = (first._stats, second._stats)
+        assert live.crossings == sum(p.crossings for p in parts) == 2 * (4 + 8)
+        assert live.rpc_count == sum(p.rpc_count for p in parts) == 8
+        assert live.bytes_copied == sum(p.bytes_copied for p in parts) == 832
+        first.close()
+        second.close()
+        closed = ctx.stats
+        assert closed.crossings == live.crossings + 4
+        assert (closed.rpc_count, closed.bytes_copied) == (8, 832)
+        ctx.finalize()
 
 
 class TestTaMemory:
@@ -609,6 +649,51 @@ class TestConcurrency:
         expected = sum(2 * (c + 3) for c in counts)
         assert ctx.stats.crossings == expected
         assert ctx.stats.rpc_count == sum(counts)
+        ctx.finalize()
+
+    def test_stats_read_during_parallel_sessions_never_go_back(self):
+        # more sessions than cores, a tiny switch interval and a reader
+        # polling throughout: a lost or doubled fold breaks the totals,
+        # and no read may see fewer crossings than an earlier one
+        ctx = initialize_context(transport="inline")
+        counts = (30, 40, 50, 60)
+        done = threading.Event()
+        seen, errors = [], []
+
+        def work(count):
+            try:
+                for _ in range(3):
+                    session = ctx.open_session("probe")
+                    session.invoke(ProbeCommand.SEND_DISCARD, values=(count, 16))
+                    session.close()
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def read():
+            while not done.is_set():
+                seen.append(ctx.stats.crossings)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            workers = [threading.Thread(target=work, args=(c,)) for c in counts]
+            reader.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not reader.is_alive() and not any(t.is_alive() for t in workers)
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+        stats = ctx.stats
+        assert stats.crossings == 3 * sum(2 * (c + 3) for c in counts)
+        assert stats.rpc_count == 3 * sum(counts)
+        assert stats.bytes_copied == 3 * sum(counts) * 16
         ctx.finalize()
 
     def test_one_invocation_in_flight_per_session(self, transport):

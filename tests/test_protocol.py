@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from teebench.boundary.protocol import (
     HEADER,
     HEADER_SIZE,
     IoctlCode,
+    Message,
     pack_invoke_body,
     pack_ioctl_body,
     pack_open_body,
@@ -96,6 +98,32 @@ def test_large_body_crosses_pipe_buffer(pipe):
     msg = read_message(r)
     writer.join()
     assert msg.body == body
+
+
+def test_a_frame_written_in_pieces_reads_as_one_write(pipe):
+    r, w = pipe
+    raw = HEADER.pack(Command.RETURN, 0, 0, 11, -5) + b"reassembled"
+    os.write(w, raw)
+    whole = read_message(r)
+
+    def dribble():
+        os.write(w, raw[:10])
+        time.sleep(0.05)
+        os.write(w, raw[10:HEADER_SIZE])
+        os.write(w, raw[HEADER_SIZE:])
+
+    writer = threading.Thread(target=dribble)
+    writer.start()
+    pieced = read_message(r)
+    writer.join()
+    assert pieced == whole == Message(Command.RETURN, 0, 0, 11, -5, b"reassembled")
+
+
+def test_message_is_an_immutable_tuple_with_an_empty_default_body():
+    assert Message(33, 1, 0, 8, 0) == Message(33, 1, 0, 8, 0, b"")
+    msg = Message(33, 1, 0, 8, 0)
+    with pytest.raises(AttributeError):
+        msg.status = 1
 
 
 def test_oversized_body_length_is_rejected_before_reading(pipe):
