@@ -174,6 +174,7 @@ class Session:
 
     def __init__(self, ctx: Context, ta_name: str, args_regions=()):
         self._ctx = ctx
+        self._switch_cost = ctx.switch_cost
         self.closed = False
         self._op_lock = threading.Lock()
         self._stats = BoundaryStats()   # written only by the in-flight op
@@ -204,7 +205,8 @@ class Session:
     def _cross(self) -> None:
         """One world switch: counted once and charged once."""
         self._stats.crossings += 1
-        clock.inject_delay(self._ctx.switch_cost)
+        if self._switch_cost:
+            clock.inject_delay(self._switch_cost)
 
     def _call(self, command: int, body: bytes) -> tuple[int, bytes]:
         """Enter the trusted world with a request and return with its reply."""
@@ -219,7 +221,7 @@ class Session:
         status = self._supplicant.service(msg, self._relay_regions)
         stats = self._stats
         stats.rpc_count += 1
-        if status > 0 and (msg.command == SOCK_SEND or msg.command == SOCK_RECV):
+        if status > 0 and (msg[0] == SOCK_SEND or msg[0] == SOCK_RECV):
             stats.bytes_copied += status
         self._cross()
         return status
@@ -272,12 +274,11 @@ class Session:
 
 def _trusted_process_main(rfd: int, wfd: int) -> None:
     def rpc(command, region_id, offset, length, handle, body) -> int:
-        write_message(wfd, command, region_id=region_id, offset=offset,
-                      length=length, status=handle, body=body)
+        write_message(wfd, command, region_id, offset, length, handle, body)
         reply = read_message(rfd)
         if reply is None:
             raise BoundaryError("relay closed while waiting for a reply")
-        return reply.status
+        return reply[4]  # status
 
     runtime = TrustedRuntime(rpc)
     while True:
@@ -313,14 +314,15 @@ class _ProcessChannel:
 
     def exchange(self, command: int, body: bytes) -> tuple[int, bytes]:
         """Send one request, relaying the trusted side's calls until RETURN."""
-        write_message(self._wfd, command, body=body)
+        rfd, wfd, serve = self._rfd, self._wfd, self._serve
+        write_message(wfd, command, body=body)
         while True:
-            msg = read_message(self._rfd)
+            msg = read_message(rfd)
             if msg is None:
                 raise BoundaryError("trusted process terminated unexpectedly")
-            if msg.command == RETURN:
+            if msg[0] == RETURN:
                 return msg.status, msg.body
-            write_message(self._wfd, RETURN, status=self._serve(msg))
+            write_message(wfd, RETURN, 0, 0, 0, serve(msg))
 
     def close(self) -> None:
         for fd in (self._wfd, self._rfd):
@@ -339,7 +341,7 @@ class _InlineChannel:
 
     def __init__(self, session: Session):
         def rpc(*fields) -> int:
-            return session._serve(Message(*fields))
+            return session._serve(tuple.__new__(Message, fields))
 
         self.runtime = TrustedRuntime(rpc)
         self.exchange = self.runtime.dispatch

@@ -23,7 +23,13 @@ the SOCK_* command set below can replace the built-in one.
 Sending a frame is one ``os.write`` of header plus body; reading one is
 one ``os.read`` of the header, plus one read of the body when there is
 one. Only a short read or write loops to finish the frame, and a frame
-cut short by EOF reads as EOF.
+cut short by EOF reads as EOF. The per-frame path is kept short because
+it runs twice per relayed call: ``write_message`` takes the header
+fields positionally, a frame without a body is packed without a
+concatenation, and ``read_message`` unpacks the header once and builds
+the ``Message`` straight from the unpacked tuple. The OPEN and INVOKE
+body codecs are precompiled ``struct.Struct`` objects, one per value
+count for the INVOKE values.
 """
 
 from __future__ import annotations
@@ -97,15 +103,24 @@ class Message(NamedTuple):
     body: bytes = b""
 
 
-def write_message(fd: int, command: int, *, region_id: int = 0, offset: int = 0,
+# Bound once for the per-frame path. ``tuple.__new__`` builds a Message
+# from a tuple of all six fields without running the NamedTuple's
+# Python-level ``__new__``.
+_pack_header = HEADER.pack
+_unpack_header = HEADER.unpack
+_new_tuple = tuple.__new__
+
+
+def write_message(fd: int, command: int, region_id: int = 0, offset: int = 0,
                   length: int = 0, status: int = 0, body: bytes = b"") -> None:
     if body:
         if region_id != 0:
             raise ValueError("body and region reference are mutually exclusive")
         if len(body) > TA_MEMORY_LIMIT:
             raise ValueError(f"a {len(body)} B body is over the frame cap")
-        length = len(body)
-    data = HEADER.pack(command, region_id, offset, length, status) + body
+        data = _pack_header(command, region_id, offset, len(body), status) + body
+    else:
+        data = _pack_header(command, region_id, offset, length, status)
     n = os.write(fd, data)
     if n < len(data):
         view = memoryview(data)[n:]
@@ -135,20 +150,34 @@ def read_message(fd: int) -> Message | None:
         if rest is None:
             return None
         raw += rest
-    command, region_id, offset, length, status = HEADER.unpack(raw)
+    command, region_id, offset, length, status = _unpack_header(raw)
     if region_id or not length:
-        return Message(command, region_id, offset, length, status)
+        return _new_tuple(Message, (command, region_id, offset, length, status, b""))
     if length > TA_MEMORY_LIMIT:
         raise BoundaryError(f"a {length} B frame body is over the cap")
     body = _read_exact(fd, length)
     if body is None:
         return None
-    return Message(command, region_id, offset, length, status, body)
+    return _new_tuple(Message, (command, region_id, offset, length, status, body))
 
 
 # --- body packing helpers ------------------------------------------------
 
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 _REGION_DESC = struct.Struct("<IBQQQH")
+_VALUES: dict[int, struct.Struct] = {}  # INVOKE values codec per count
+
+
+def _values_codec(n: int) -> struct.Struct:
+    """Codec of a u8 count followed by ``n`` u64 values, built once per n."""
+    codec = _VALUES.get(n)
+    if codec is None:
+        if n > 255:
+            raise struct.error(f"{n} values do not fit the u8 count")
+        codec = _VALUES[n] = struct.Struct(f"<B{n}Q")
+    return codec
 
 
 def pack_region_descriptor(desc: RegionDescriptor) -> bytes:
@@ -173,11 +202,11 @@ def unpack_region_descriptor(buf: bytes, pos: int) -> tuple[RegionDescriptor, in
 
 
 def _pack_regions(descs) -> bytes:
-    return struct.pack("<B", len(descs)) + b"".join(map(pack_region_descriptor, descs))
+    return _U8.pack(len(descs)) + b"".join(map(pack_region_descriptor, descs))
 
 
 def _unpack_regions(buf: bytes, pos: int) -> tuple[list[RegionDescriptor], int]:
-    (count,) = struct.unpack_from("<B", buf, pos)
+    (count,) = _U8.unpack_from(buf, pos)
     pos += 1
     descs = []
     for _ in range(count):
@@ -189,12 +218,12 @@ def _unpack_regions(buf: bytes, pos: int) -> tuple[list[RegionDescriptor], int]:
 def pack_open_body(ta_name: str, scratch: RegionDescriptor,
                    args_regions) -> bytes:
     name = ta_name.encode()
-    return (struct.pack("<H", len(name)) + name
+    return (_U16.pack(len(name)) + name
             + pack_region_descriptor(scratch) + _pack_regions(args_regions))
 
 
 def unpack_open_body(body: bytes):
-    (nlen,) = struct.unpack_from("<H", body, 0)
+    (nlen,) = _U16.unpack_from(body, 0)
     name = body[2:2 + nlen].decode()
     scratch, pos = unpack_region_descriptor(body, 2 + nlen)
     regions, _ = _unpack_regions(body, pos)
@@ -202,24 +231,29 @@ def unpack_open_body(body: bytes):
 
 
 def pack_invoke_body(ta_command: int, regions, values) -> bytes:
-    return struct.pack("<I", ta_command) + _pack_regions(regions) + pack_values(values)
+    return _U32.pack(ta_command) + _pack_regions(regions) + pack_values(values)
 
 
 def unpack_invoke_body(body: bytes):
-    (ta_command,) = struct.unpack_from("<I", body, 0)
+    (ta_command,) = _U32.unpack_from(body, 0)
     regions, pos = _unpack_regions(body, 4)
-    return ta_command, regions, unpack_values(body[pos:])
+    return ta_command, regions, _unpack_values_from(body, pos)
 
 
 def pack_values(values) -> bytes:
-    return struct.pack(f"<B{len(values)}Q", len(values), *values)
+    n = len(values)
+    return _values_codec(n).pack(n, *values)
+
+
+def _unpack_values_from(body: bytes, pos: int) -> tuple[int, ...]:
+    if pos == len(body):
+        return ()
+    (n,) = _U8.unpack_from(body, pos)
+    return _values_codec(n).unpack_from(body, pos)[1:]
 
 
 def unpack_values(body: bytes) -> tuple[int, ...]:
-    if not body:
-        return ()
-    (n,) = struct.unpack_from("<B", body, 0)
-    return struct.unpack_from(f"<{n}Q", body, 1) if n else ()
+    return _unpack_values_from(body, 0)
 
 
 def pack_sock_open_body(protocol_code: int, host: str, port: int) -> bytes:

@@ -107,6 +107,7 @@ class SharedRegion:
             self._map = mmap.mmap(fd, size)
         finally:
             os.close(fd)
+        self._view = memoryview(self._map)  # window_view slices this
         self._released = False
 
     @property
@@ -147,12 +148,25 @@ class SharedRegion:
         _check_span(offset, memoryview(data).nbytes, self.window_length)
         self.write(self.window_offset + offset, data)
 
+    def window_view(self, offset: int, length: int) -> memoryview:
+        """Window bytes as a view of the mapping itself, without a copy.
+
+        The view pins the mapping: release it (``view.release()`` or a
+        ``with`` block) before the region is released, or ``release()``
+        raises ``BufferError``.
+        """
+        _check_span(offset, length, self.window_length)
+        self._check_open()
+        base = self.window_offset + offset
+        return self._view[base:base + length]
+
     def release(self) -> None:
         """Unmap and delete the backing segment; idempotent."""
         if self._released:
             return
+        self._view.release()
+        self._map.close()  # BufferError while a window view is live
         self._released = True
-        self._map.close()
         try:
             os.unlink(self._path)
         except FileNotFoundError:
@@ -174,6 +188,8 @@ class TrustedRegionView:
 
     def __init__(self, desc: RegionDescriptor):
         self.descriptor = desc
+        self._window_offset = desc.window_offset
+        self._window_length = desc.window_length
         fd = os.open(desc.path, os.O_RDWR)
         try:
             self._map = mmap.mmap(fd, desc.size)
@@ -183,7 +199,7 @@ class TrustedRegionView:
 
     @property
     def window_length(self) -> int:
-        return self.descriptor.window_length
+        return self._window_length
 
     @property
     def revoked(self) -> bool:
@@ -195,17 +211,17 @@ class TrustedRegionView:
                 f"region {self.descriptor.region_id} no longer shared "
                 f"({self.descriptor.lifetime.value} lifetime expired)"
             )
-        _check_span(offset, length, self.descriptor.window_length)
+        _check_span(offset, length, self._window_length)
 
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        base = self.descriptor.window_offset + offset
+        base = self._window_offset + offset
         return self._map[base:base + length]
 
     def write(self, offset: int, data) -> None:
         length = memoryview(data).nbytes
         self._check(offset, length)
-        base = self.descriptor.window_offset + offset
+        base = self._window_offset + offset
         self._map[base:base + length] = data
 
     def revoke(self) -> None:

@@ -20,6 +20,7 @@ from .. import clock
 from ..core import TA_MEMORY_LIMIT, Protocol
 from .errors import RegionFault, TaMemoryError, TeeSocketError
 from .protocol import (
+    SOCK_SEND,
     Command,
     IoctlCode,
     NOOP_COMMAND,
@@ -54,6 +55,8 @@ class SocketState(enum.Enum):
 
 
 _FATAL_ERRNOS = {9, 32, 104, 107}  # EBADF, EPIPE, ECONNRESET, ENOTCONN
+# checked before every send; an enum member lookup costs more than the check
+_OPEN = SocketState.OPEN
 
 
 class TeeSocket:
@@ -71,7 +74,7 @@ class TeeSocket:
         self.state = SocketState.OPEN
 
     def _check_usable(self):
-        if self.state is not SocketState.OPEN:
+        if self.state is not _OPEN:
             raise TeeSocketError(9, f"socket is {self.state.value}")
 
     def _fail(self, err: int):
@@ -82,20 +85,23 @@ class TeeSocket:
     def send(self, data) -> int:
         self._check_usable()
         view = memoryview(data)
+        total = len(view)
         scratch = self._env.scratch
+        write = scratch.write
+        region_id = scratch.descriptor.region_id
+        window = scratch.window_length
+        rpc = self._env._rpc
+        handle = self.handle
         sent = 0
-        while sent < len(view):
-            piece = view[sent:sent + scratch.window_length]
-            scratch.write(0, piece)
-            status = self._env.relay(
-                Command.SOCK_SEND,
-                region_ref=(scratch.descriptor.region_id, 0, len(piece)),
-                handle=self.handle,
-            )
+        while sent < total:
+            piece = view[sent:sent + window]
+            staged = len(piece)
+            write(0, piece)
+            status = rpc(SOCK_SEND, region_id, 0, staged, handle, b"")
             if status < 0:
                 self._fail(-status)
             sent += status
-            if status < len(piece):
+            if status < staged:
                 break  # transport accepted less than staged; report actual
         return sent
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from teebench import traffic
-from teebench.boundary import context, initialize_context, trusted
+from teebench.boundary import context, initialize_context, supplicant, trusted
+from teebench.boundary.tas import ProbeCommand
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,3 +65,32 @@ def test_close_reaches_a_patched_handle_close_before_it_returns(
     session.close()
     ctx.finalize()
     assert marks.read_text().count("\n") == 1
+
+
+def test_every_relayed_frame_passes_the_traced_names(monkeypatch):
+    # the tracer sees a relayed call only through these three names; a
+    # frame sent or served around them would vanish from the self times
+    sends = 5
+    ctx = initialize_context(transport="process")
+    session = ctx.open_session("probe")
+    calls = {"read_message": 0, "write_message": 0, "service": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("read_message", "write_message"):
+        monkeypatch.setattr(context, name, counting(name, getattr(context, name)))
+    monkeypatch.setattr(supplicant.Supplicant, "service",
+                        counting("service", supplicant.Supplicant.service))
+    try:
+        result = session.invoke(ProbeCommand.SEND_DISCARD, values=(sends, 1024))
+    finally:
+        monkeypatch.undo()
+        session.close()
+        ctx.finalize()
+    assert result.values == (sends * 1024,)
+    assert calls == {"read_message": sends + 1, "write_message": sends + 1,
+                     "service": sends}

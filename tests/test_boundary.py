@@ -20,7 +20,8 @@ from teebench.boundary import (
     register_ta,
 )
 from teebench.boundary.protocol import Command, IoctlCode, Message, pack_ioctl_body
-from teebench.boundary.supplicant import Supplicant
+from teebench.boundary.regions import SharedRegion
+from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
 from teebench.boundary.trusted import SocketState
 from teebench.core import Execution, Mode, Protocol, RunConfig, SharedMode
@@ -499,6 +500,38 @@ class TestFaultContainment:
         ctx.finalize()
         assert "ValueError: trusted app bug" in capfd.readouterr().err
 
+    def test_unmapped_supplicant_exception_is_eio(
+            self, transport, tcp_server, monkeypatch, capfd):
+        def broken_send(self, data):
+            raise TypeError("supplicant bug")
+
+        monkeypatch.setattr(OsSocket, "send", broken_send)
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        result = session.invoke(ProbeCommand.SOCKET_SMOKE,
+                                values=(tcp_server.port, 1, KIB, 1, 0))
+        assert result.status == TeeResult.GENERIC
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+        # open, invoke (SOCK_OPEN and the failed SOCK_SEND), noop, close
+        assert (stats.crossings, stats.rpc_count, stats.bytes_copied) == (
+            2 + 2 + 2 * 2 + 2 + 2, 2, 0)
+        assert "TypeError: supplicant bug" in capfd.readouterr().err
+
+    def test_many_zero_copy_sends_leave_the_scratch_releasable(
+            self, transport, tcp_server):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        result = session.invoke(ProbeCommand.SOCKET_SMOKE,
+                                values=(tcp_server.port, 1000, KIB, 1, 0))
+        assert result.values == (1000 * KIB,)
+        assert tcp_server.wait_for_records(1)[0].bytes_received == 1000 * KIB
+        session.close()  # releases the scratch mapping the sends viewed
+        ctx.finalize()
+        assert session._scratch.released
+
 
 def _probe_script(transport):
     """The same probe steps over one transport: (status, values) per step
@@ -624,6 +657,60 @@ class TestSupplicantIoctl:
         assert status == 256
         ctx.release_region(region)
         ctx.finalize()
+
+
+class TestRelayErrorPrecedence:
+    """Which status wins when one relayed call is wrong in more than one
+    way, and what the handle's last errno is afterwards."""
+
+    @pytest.fixture
+    def live(self, tcp_server):
+        from teebench.boundary.protocol import pack_sock_open_body
+
+        supplicant = Supplicant()
+        handle = supplicant.service(
+            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
+                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+            {},
+        )
+        assert handle > 0
+        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        yield supplicant, handle, region
+        supplicant.close_all()
+        region.release()
+
+    def test_send_on_an_unknown_handle_naming_an_unknown_region_is_ebadf(self):
+        status = Supplicant().service(
+            Message(Command.SOCK_SEND, 999, 0, 16, 42), {})
+        assert status == -errno.EBADF
+
+    def test_discard_send_naming_an_unknown_region_is_efault(self):
+        status = Supplicant().service(
+            Message(Command.SOCK_SEND, 999, 0, 16, DISCARD_HANDLE), {})
+        assert status == -errno.EFAULT
+
+    def test_live_send_past_the_window_is_efault_and_records_no_errno(self, live):
+        supplicant, handle, region = live
+        regions = {region.region_id: region}
+        past_end = Message(Command.SOCK_SEND, region.region_id,
+                           4 * KIB - 8, 16, handle)
+        assert supplicant.service(past_end, regions) == -errno.EFAULT
+        unknown = Message(Command.SOCK_SEND, 999, 0, 16, handle)
+        assert supplicant.service(unknown, regions) == -errno.EFAULT
+        last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
+        assert supplicant.service(last_error, regions) == 0
+
+    def test_socket_error_after_a_fault_is_still_the_last_os_errno(self, live):
+        supplicant, handle, region = live
+        regions = {region.region_id: region}
+        refused = Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
+                          pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1)))
+        assert supplicant.service(refused, regions) == -errno.EOPNOTSUPP
+        past_end = Message(Command.SOCK_SEND, region.region_id,
+                           4 * KIB - 8, 16, handle)
+        assert supplicant.service(past_end, regions) == -errno.EFAULT
+        last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
+        assert supplicant.service(last_error, regions) == errno.EOPNOTSUPP
 
 
 class TestConcurrency:

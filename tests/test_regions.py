@@ -69,16 +69,34 @@ class TestOwnerAccess:
         partial_region.window_write(0, b"window")
         assert partial_region.read(2 * KIB, 6) == b"window"
         assert partial_region.window_read(0, 6) == b"window"
+        with partial_region.window_view(0, 6) as view:
+            assert view == b"window"
+
+    def test_window_view_is_the_mapping_and_pins_it_until_released(self):
+        region = make_region(SharedMode.WHOLE, size=KIB)
+        with region.window_view(0, 4) as view:
+            region.write(0, b"live")
+            assert view == b"live"
+            with pytest.raises(BufferError):
+                region.release()
+        region.release()
+        assert region.released
 
     def test_window_bounds(self, partial_region):
         with pytest.raises(RegionFault):
             partial_region.window_write(4 * KIB - 2, b"xxxx")
+        with pytest.raises(RegionFault):
+            partial_region.window_view(4 * KIB - 2, 4)
+        with pytest.raises(RegionFault):
+            partial_region.window_view(-1, 4)
 
     def test_release_then_access_faults(self):
         region = make_region(SharedMode.WHOLE, size=KIB)
         region.release()
         with pytest.raises(RegionFault):
             region.read(0, 1)
+        with pytest.raises(RegionFault):
+            region.window_view(0, 1)
         region.release()  # idempotent
 
 
