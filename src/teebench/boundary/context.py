@@ -141,8 +141,6 @@ class Context:
         temporary region among them is only valid while the open runs.
         """
         self._check_live()
-        if isinstance(args_regions, SharedRegion):
-            args_regions = (args_regions,)
         return Session(self, ta_name, tuple(args_regions))
 
     # -- lifecycle ------------------------------------------------------------
@@ -237,8 +235,6 @@ class Session:
     def invoke(self, command: int, regions=(), values=()) -> InvokeResult:
         self._begin_op()
         try:
-            if isinstance(regions, SharedRegion):
-                regions = (regions,)
             body = pack_invoke_body(
                 command, [r.descriptor for r in regions], tuple(values)
             )

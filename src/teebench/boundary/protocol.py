@@ -30,6 +30,11 @@ concatenation, and ``read_message`` unpacks the header once and builds
 the ``Message`` straight from the unpacked tuple. The OPEN and INVOKE
 body codecs are precompiled ``struct.Struct`` objects, one per value
 count for the INVOKE values.
+
+This module is the codec: every code that goes on the wire is decided
+here and nowhere else. The body codecs take and return the package's
+own types (``SharedMode`` in a region descriptor, ``Protocol`` in a
+SOCK_OPEN body), and a code they do not know is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import os
 import struct
 from typing import NamedTuple
 
-from ..core import TA_MEMORY_LIMIT
+from ..core import TA_MEMORY_LIMIT, Protocol, SharedMode
 from .errors import BoundaryError
 from .regions import RegionDescriptor
 
@@ -83,11 +88,6 @@ class TeeResult(enum.IntEnum):
 class IoctlCode(enum.IntEnum):
     SET_BUF_SIZES = 1           # arg: (send_bytes, recv_bytes), TCP and UDP
     SET_PEER = 2                # arg: (host, port), UDP only
-
-
-class SocketProtocolCode(enum.IntEnum):
-    TCP = 1
-    UDP = 2
 
 
 # command id every trusted application answers without dispatching
@@ -169,6 +169,18 @@ _U32 = struct.Struct("<I")
 _REGION_DESC = struct.Struct("<IBQQQH")
 _VALUES: dict[int, struct.Struct] = {}  # INVOKE values codec per count
 
+_MODE_CODE = {SharedMode.WHOLE: 1, SharedMode.PARTIAL: 2, SharedMode.TEMPORARY: 3}
+_CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
+_PROTOCOL_CODE = {Protocol.TCP: 1, Protocol.UDP: 2}
+_CODE_PROTOCOL = {v: k for k, v in _PROTOCOL_CODE.items()}
+
+
+def _decode(table: dict, code: int, what: str):
+    value = table.get(code)
+    if value is None:
+        raise ValueError(f"unknown {what} code {code}")
+    return value
+
 
 def _values_codec(n: int) -> struct.Struct:
     """Codec of a u8 count followed by ``n`` u64 values, built once per n."""
@@ -183,7 +195,7 @@ def _values_codec(n: int) -> struct.Struct:
 def pack_region_descriptor(desc: RegionDescriptor) -> bytes:
     path = desc.path.encode()
     return _REGION_DESC.pack(
-        desc.region_id, desc.mode_code(), desc.size,
+        desc.region_id, _MODE_CODE[desc.mode], desc.size,
         desc.window_offset, desc.window_length, len(path),
     ) + path
 
@@ -195,7 +207,7 @@ def unpack_region_descriptor(buf: bytes, pos: int) -> tuple[RegionDescriptor, in
     pos += plen
     desc = RegionDescriptor(
         region_id=rid, path=path, size=size,
-        mode=RegionDescriptor.mode_from_code(mode_code),
+        mode=_decode(_CODE_MODE, mode_code, "region mode"),
         window_offset=woff, window_length=wlen,
     )
     return desc, pos
@@ -237,7 +249,7 @@ def pack_invoke_body(ta_command: int, regions, values) -> bytes:
 def unpack_invoke_body(body: bytes):
     (ta_command,) = _U32.unpack_from(body, 0)
     regions, pos = _unpack_regions(body, 4)
-    return ta_command, regions, _unpack_values_from(body, pos)
+    return ta_command, regions, unpack_values(body, pos)
 
 
 def pack_values(values) -> bytes:
@@ -245,24 +257,20 @@ def pack_values(values) -> bytes:
     return _values_codec(n).pack(n, *values)
 
 
-def _unpack_values_from(body: bytes, pos: int) -> tuple[int, ...]:
+def unpack_values(body: bytes, pos: int = 0) -> tuple[int, ...]:
     if pos == len(body):
         return ()
     (n,) = _U8.unpack_from(body, pos)
     return _values_codec(n).unpack_from(body, pos)[1:]
 
 
-def unpack_values(body: bytes) -> tuple[int, ...]:
-    return _unpack_values_from(body, 0)
+def pack_sock_open_body(protocol: Protocol, host: str, port: int) -> bytes:
+    return struct.pack("<BH", _PROTOCOL_CODE[protocol], port) + host.encode()
 
 
-def pack_sock_open_body(protocol_code: int, host: str, port: int) -> bytes:
-    return struct.pack("<BH", protocol_code, port) + host.encode()
-
-
-def unpack_sock_open_body(body: bytes) -> tuple[int, str, int]:
+def unpack_sock_open_body(body: bytes) -> tuple[Protocol, str, int]:
     code, port = struct.unpack_from("<BH", body, 0)
-    return code, body[3:].decode(), port
+    return _decode(_CODE_PROTOCOL, code, "socket protocol"), body[3:].decode(), port
 
 
 def pack_ioctl_body(code: int, arg) -> bytes:

@@ -33,9 +33,6 @@ LIFETIME_FOR_MODE = {
     SharedMode.TEMPORARY: Lifetime.INVOCATION_BOUND,
 }
 
-_MODE_CODE = {SharedMode.WHOLE: 1, SharedMode.PARTIAL: 2, SharedMode.TEMPORARY: 3}
-_CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
-
 
 @dataclass(frozen=True)
 class RegionDescriptor:
@@ -51,13 +48,6 @@ class RegionDescriptor:
     @property
     def lifetime(self) -> Lifetime:
         return LIFETIME_FOR_MODE[self.mode]
-
-    def mode_code(self) -> int:
-        return _MODE_CODE[self.mode]
-
-    @staticmethod
-    def mode_from_code(code: int) -> SharedMode:
-        return _CODE_MODE[code]
 
 
 def _check_window(size: int, mode: SharedMode, offset: int, length: int | None):

@@ -36,7 +36,6 @@ from .protocol import (
     SOCK_SEND,
     IoctlCode,
     Message,
-    SocketProtocolCode,
     unpack_ioctl_body,
     unpack_sock_open_body,
 )
@@ -160,8 +159,7 @@ class Supplicant:
         return -errno.EINVAL
 
     def _open(self, body: bytes) -> int:
-        code, host, port = unpack_sock_open_body(body)
-        protocol = Protocol.TCP if code == SocketProtocolCode.TCP else Protocol.UDP
+        protocol, host, port = unpack_sock_open_body(body)
         try:
             sock = OsSocket(host, port, protocol)
         except OSError as exc:

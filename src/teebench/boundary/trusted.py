@@ -7,6 +7,11 @@ and the inline channel calls it directly. Trusted application code never
 touches the OS directly. Everything it may use hangs off the TrustedEnv
 handed to its entry points: heap accounting against ``TA_MEMORY_LIMIT``,
 the relayed socket facade, shared-region views and the monotonic clock.
+
+There is one way out of the trusted side: ``TrustedEnv.rpc(command,
+region_id, offset, length, handle, body) -> status``, called
+positionally with the int command ids of ``protocol``. Every socket
+operation goes through it, and ``protocol`` encodes every wire code.
 """
 
 from __future__ import annotations
@@ -14,18 +19,25 @@ from __future__ import annotations
 import enum
 import sys
 import traceback
+from collections import namedtuple
 from typing import Callable
 
 from .. import clock
 from ..core import TA_MEMORY_LIMIT, Protocol
 from .errors import RegionFault, TaMemoryError, TeeSocketError
 from .protocol import (
-    SOCK_SEND,
-    Command,
-    IoctlCode,
+    CLOSE,
+    INVOKE,
     NOOP_COMMAND,
+    OPEN,
+    SOCK_CLOSE,
+    SOCK_ERROR,
+    SOCK_IOCTL,
+    SOCK_OPEN,
+    SOCK_RECV,
+    SOCK_SEND,
+    IoctlCode,
     TeeResult,
-    SocketProtocolCode,
     pack_ioctl_body,
     pack_sock_open_body,
     pack_values,
@@ -77,20 +89,23 @@ class TeeSocket:
         if self.state is not _OPEN:
             raise TeeSocketError(9, f"socket is {self.state.value}")
 
-    def _fail(self, err: int):
-        if err in _FATAL_ERRNOS:
-            self.state = SocketState.ERROR
-        raise TeeSocketError(err)
+    def _checked(self, status: int) -> int:
+        """A relayed call's status, or its errno raised."""
+        if status < 0:
+            if -status in _FATAL_ERRNOS:
+                self.state = SocketState.ERROR
+            raise TeeSocketError(-status)
+        return status
 
     def send(self, data) -> int:
         self._check_usable()
-        view = memoryview(data)
+        view = memoryview(data).cast("B")  # the window is in bytes, not items
         total = len(view)
         scratch = self._env.scratch
         write = scratch.write
         region_id = scratch.descriptor.region_id
         window = scratch.window_length
-        rpc = self._env._rpc
+        rpc = self._env.rpc
         handle = self.handle
         sent = 0
         while sent < total:
@@ -99,7 +114,7 @@ class TeeSocket:
             write(0, piece)
             status = rpc(SOCK_SEND, region_id, 0, staged, handle, b"")
             if status < 0:
-                self._fail(-status)
+                self._checked(status)  # raises
             sent += status
             if status < staged:
                 break  # transport accepted less than staged; report actual
@@ -109,22 +124,14 @@ class TeeSocket:
         self._check_usable()
         scratch = self._env.scratch
         want = min(max_bytes, scratch.window_length)
-        status = self._env.relay(
-            Command.SOCK_RECV,
-            region_ref=(scratch.descriptor.region_id, 0, want),
-            handle=self.handle,
-        )
-        if status < 0:
-            self._fail(-status)
+        status = self._checked(self._env.rpc(
+            SOCK_RECV, scratch.descriptor.region_id, 0, want, self.handle, b""))
         return scratch.read(0, status)
 
     def ioctl(self, code: IoctlCode, arg) -> None:
         self._check_usable()
-        status = self._env.relay(
-            Command.SOCK_IOCTL, body=pack_ioctl_body(code, arg), handle=self.handle
-        )
-        if status < 0:
-            self._fail(-status)
+        self._checked(self._env.rpc(SOCK_IOCTL, 0, 0, 0, self.handle,
+                                    pack_ioctl_body(code, arg)))
 
     def error(self) -> int:
         """Last OS errno recorded for this socket by the supplicant.
@@ -132,22 +139,23 @@ class TeeSocket:
         Usable in any state; querying the error is the one operation a
         failed socket still supports.
         """
-        return self._env.relay(Command.SOCK_ERROR, handle=self.handle)
+        return self._env.rpc(SOCK_ERROR, 0, 0, 0, self.handle, b"")
 
     def close(self) -> None:
         if self.state is SocketState.CLOSED:
             raise TeeSocketError(9, "socket already closed")
-        status = self._env.relay(Command.SOCK_CLOSE, handle=self.handle)
+        status = self._env.rpc(SOCK_CLOSE, 0, 0, 0, self.handle, b"")
         self.state = SocketState.CLOSED
         if status < 0:
             raise TeeSocketError(-status)
 
 
 class TrustedEnv:
-    """Execution environment visible to trusted application code."""
+    """Execution environment visible to trusted application code; ``rpc``
+    is the relay port described in the module docstring."""
 
     def __init__(self, rpc):
-        self._rpc = rpc
+        self.rpc = rpc
         self._used = 0
         self.scratch: TrustedRegionView | None = None
 
@@ -173,20 +181,9 @@ class TrustedEnv:
 
     # -- relayed sockets -----------------------------------------------------
 
-    def relay(self, command, *, region_ref=None, body=b"", handle=0) -> int:
-        """One relayed socket call; returns the supplicant's status."""
-        region_id, offset, length = region_ref or (0, 0, 0)
-        return self._rpc(command, region_id, offset, length, handle, body)
-
     def open_socket(self, host: str, port: int, protocol: Protocol) -> TeeSocket:
-        code = (
-            SocketProtocolCode.TCP
-            if protocol is Protocol.TCP
-            else SocketProtocolCode.UDP
-        )
-        status = self.relay(
-            Command.SOCK_OPEN, body=pack_sock_open_body(code, host, port)
-        )
+        status = self.rpc(SOCK_OPEN, 0, 0, 0, 0,
+                          pack_sock_open_body(protocol, host, port))
         if status < 0:
             raise TeeSocketError(-status)
         return TeeSocket(self, status, protocol)
@@ -196,23 +193,20 @@ class TrustedEnv:
         return TeeSocket(self, DISCARD_HANDLE, Protocol.TCP)
 
 
-class InvokeParams:
-    """Regions and integer values passed along with one command."""
-
-    def __init__(self, regions: list[TrustedRegionView], values: tuple[int, ...]):
-        self.regions = regions
-        self.values = values
+# the region views and integer values passed along with one command
+InvokeParams = namedtuple("InvokeParams", "regions values")
 
 
 class TrustedRuntime:
     """Trusted end of one session: the application instance, its
     environment and the views of the regions shared with it.
 
-    ``rpc(command, region_id, offset, length, handle, body)`` relays one
-    socket call to the normal world and returns its status. Both
-    transports call ``dispatch``, so region caching, temporary revocation
-    and error-to-status mapping are the same in both; an exception the
-    handlers do not map becomes GENERIC, with its traceback on stderr.
+    ``rpc`` is the session's relay port, handed to ``TrustedEnv``. Both
+    transports call ``dispatch``, and both entry points, ``on_open`` and
+    ``on_invoke``, run under one policy (``_enter``), so region caching,
+    temporary revocation and error-to-status mapping are the same
+    everywhere; an exception that policy does not map becomes GENERIC,
+    with its traceback on stderr.
     """
 
     def __init__(self, rpc):
@@ -222,13 +216,13 @@ class TrustedRuntime:
 
     def dispatch(self, command: int, body: bytes) -> tuple[int, bytes]:
         try:
-            if command == Command.OPEN:
-                return self.handle_open(*unpack_open_body(body)), b""
-            if command == Command.INVOKE:
+            if command == INVOKE:
                 ta_command, region_descs, values = unpack_invoke_body(body)
                 status, out = self.handle_invoke(ta_command, region_descs, values)
                 return status, pack_values(out)
-            if command == Command.CLOSE:
+            if command == OPEN:
+                return self.handle_open(*unpack_open_body(body)), b""
+            if command == CLOSE:
                 return self.handle_close(), b""
         except Exception:
             traceback.print_exc(file=sys.stderr)
@@ -244,35 +238,14 @@ class TrustedRuntime:
             self._views[desc.region_id] = view
         return view
 
-    def handle_open(self, ta_name: str, scratch_desc: RegionDescriptor,
-                    region_descs: list[RegionDescriptor]) -> int:
-        factory = _TA_FACTORIES.get(ta_name)
-        if factory is None:
-            return TeeResult.NOT_FOUND
-        self.ta = factory()
-        self.env.scratch = TrustedRegionView(scratch_desc)
+    def _enter(self, region_descs: list[RegionDescriptor],
+               entry: Callable) -> tuple[int, tuple[int, ...]]:
+        """Call ``entry(views)``; it returns None (SUCCESS), a status or
+        ``(status, values)``. Heap, region and socket failures become a
+        status, and temporary views are revoked on the way out."""
         views = [self._view_for(d) for d in region_descs]
-        temporaries = [v for v in views if v.descriptor.lifetime is Lifetime.INVOCATION_BOUND]
         try:
-            on_open = getattr(self.ta, "on_open", None)
-            if on_open is not None:
-                on_open(self.env, views)
-            return TeeResult.SUCCESS
-        except Exception:
-            return TeeResult.GENERIC
-        finally:
-            for view in temporaries:
-                view.revoke()
-
-    def handle_invoke(self, ta_command: int,
-                      region_descs: list[RegionDescriptor],
-                      values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        views = [self._view_for(d) for d in region_descs]
-        temporaries = [v for v in views if v.descriptor.lifetime is Lifetime.INVOCATION_BOUND]
-        try:
-            if ta_command == NOOP_COMMAND:
-                return TeeResult.SUCCESS, ()
-            result = self.ta.on_invoke(self.env, ta_command, InvokeParams(views, values))
+            result = entry(views)
             if result is None:
                 return TeeResult.SUCCESS, ()
             if isinstance(result, tuple):
@@ -286,8 +259,29 @@ class TrustedRuntime:
         except TeeSocketError:
             return TeeResult.GENERIC, ()
         finally:
-            for view in temporaries:
-                view.revoke()
+            for view in views:
+                if view.descriptor.lifetime is Lifetime.INVOCATION_BOUND:
+                    view.revoke()
+
+    def handle_open(self, ta_name: str, scratch_desc: RegionDescriptor,
+                    region_descs: list[RegionDescriptor]) -> int:
+        factory = _TA_FACTORIES.get(ta_name)
+        if factory is None:
+            return TeeResult.NOT_FOUND
+        self.ta = factory()
+        self.env.scratch = TrustedRegionView(scratch_desc)
+        on_open = getattr(self.ta, "on_open", None) or (lambda env, views: None)
+        return self._enter(region_descs, lambda views: on_open(self.env, views))[0]
+
+    def handle_invoke(self, ta_command: int,
+                      region_descs: list[RegionDescriptor],
+                      values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        def entry(views):
+            if ta_command != NOOP_COMMAND:
+                return self.ta.on_invoke(self.env, ta_command,
+                                         InvokeParams(views, values))
+
+        return self._enter(region_descs, entry)
 
     def handle_close(self) -> int:
         try:

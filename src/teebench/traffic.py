@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 
 from . import clock
 from .boundary.protocol import IoctlCode
@@ -36,27 +35,6 @@ def fill_dummy_buffer(size: int, seed: int) -> bytes:
     if size < 1:
         raise ValueError("buffer size must be >= 1")
     return random.Random(seed).randbytes(size)
-
-
-@dataclass(frozen=True)
-class PaceDecision:
-    wait_until: float | None    # absolute time to wait for; None when already late
-    next_deadline: float
-
-
-def pace(next_deadline: float, bitrate: float, chunk_size: int, *,
-         now: float) -> PaceDecision:
-    """Deadline-based pacing step.
-
-    The following deadline is always the previous one plus
-    chunk_size*8/bitrate: a late send proceeds immediately but does not
-    shift the schedule, so lateness never compounds.
-    """
-    if bitrate <= 0:
-        raise ValueError("bitrate must be > 0")
-    interval = chunk_size * 8 / bitrate
-    wait = next_deadline if now < next_deadline else None
-    return PaceDecision(wait, next_deadline + interval)
 
 
 def batch_factor(bitrate: float, chunk_size: int) -> int:
@@ -152,22 +130,16 @@ def run_measurement(cfg: RunConfig, env=None) -> TransferMetrics:
                 timed_send(view)
 
         else:  # CONSTANT_RATE, bounded by the duration
-            interval = cfg.chunk_size * 8 / cfg.bitrate
             batch = batch_factor(cfg.bitrate, cfg.chunk_size)
-            group_bytes = batch * cfg.chunk_size
-            groups = max(1, int(cfg.duration / (batch * interval)))
-            scheduled_end = t0 + groups * batch * interval
-            deadline = t0
-            for _ in range(groups):
-                decision = pace(deadline, cfg.bitrate, group_bytes,
-                                now=env.monotonic())
-                if decision.wait_until is not None:
-                    clock.wait_until(decision.wait_until)
-                deadline = decision.next_deadline
+            gap = batch * cfg.chunk_size * 8 / cfg.bitrate
+            groups = max(1, int(cfg.duration / gap))
+            for g in range(groups):
+                # kvbench's rule: a late group shifts nothing after it
+                clock.wait_until(t0 + g * gap)
                 for _ in range(batch):
                     timed_send(view)
             # a paced run owns the full interval of every chunk it sent
-            _, underrun = clock.finish_schedule(t0, scheduled_end)
+            _, underrun = clock.finish_schedule(t0, t0 + groups * gap)
     except OSError as exc:
         error = f"transmit failed: errno {exc.errno}"
 

@@ -1,15 +1,19 @@
 import errno
 import random
 import socket
+import struct
 import sys
 import threading
 import time
+import zlib
+from array import array
 
 import pytest
 
 from teebench import clock
 from teebench.boundary import (
     DISCARD_HANDLE,
+    BoundaryError,
     NOOP_COMMAND,
     RegionFault,
     SessionStateError,
@@ -24,7 +28,14 @@ from teebench.boundary.regions import SharedRegion
 from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
 from teebench.boundary.trusted import SocketState
-from teebench.core import Execution, Mode, Protocol, RunConfig, SharedMode
+from teebench.core import (
+    TA_MEMORY_LIMIT,
+    Execution,
+    Mode,
+    Protocol,
+    RunConfig,
+    SharedMode,
+)
 from teebench.runner import run_client
 
 KIB = 1024
@@ -67,15 +78,11 @@ class _BadRelayTa:
     decode; reports the errnos it got."""
 
     def on_invoke(self, env, command, params):
-        unknown = env.relay(Command.SOCK_SEND, region_ref=(999, 0, 16),
-                            handle=DISCARD_HANDLE)
+        unknown = env.rpc(Command.SOCK_SEND, 999, 0, 16, DISCARD_HANDLE, b"")
         scratch = env.scratch.descriptor
-        outside = env.relay(
-            Command.SOCK_SEND,
-            region_ref=(scratch.region_id, scratch.window_length - 8, 16),
-            handle=DISCARD_HANDLE,
-        )
-        malformed = env.relay(Command.SOCK_OPEN, body=b"\x01")
+        outside = env.rpc(Command.SOCK_SEND, scratch.region_id,
+                          scratch.window_length - 8, 16, DISCARD_HANDLE, b"")
+        malformed = env.rpc(Command.SOCK_OPEN, 0, 0, 0, 0, b"\x01")
         return TeeResult.SUCCESS, (-unknown, -outside, -malformed)
 
 
@@ -90,8 +97,8 @@ class _StaleRegionTa:
         if params.regions:
             self.region_id = params.regions[0].descriptor.region_id
             return TeeResult.SUCCESS
-        status = env.relay(Command.SOCK_SEND, region_ref=(self.region_id, 0, 16),
-                           handle=DISCARD_HANDLE)
+        status = env.rpc(Command.SOCK_SEND, self.region_id, 0, 16,
+                         DISCARD_HANDLE, b"")
         return TeeResult.SUCCESS, (int(status < 0), abs(status))
 
 
@@ -99,6 +106,51 @@ class _StaleRegionTa:
 class _RaisingTa:
     def on_invoke(self, env, command, params):
         raise ValueError("trusted app bug")
+
+
+@register_ta("test-wide-send")
+class _WideSendTa:
+    """Sends 300 000 four-byte items, more bytes than the scratch window
+    holds, to the discard socket; reports the bytes sent."""
+
+    def on_invoke(self, env, command, params):
+        sent = env.discard_socket().send(array("I", range(300_000)))
+        return TeeResult.SUCCESS, (sent,)
+
+
+@register_ta("test-reader")
+class _ReaderTa:
+    """Reads a TCP peer through the boundary until EOF, then the discard
+    socket once; reports (bytes read, their CRC-32, discard bytes)."""
+
+    def on_invoke(self, env, command, params):
+        (port,) = params.values
+        sock = env.open_socket("127.0.0.1", port, Protocol.TCP)
+        received = bytearray()
+        while chunk := sock.recv(64 * KIB):
+            received += chunk
+        sock.close()
+        discard = env.discard_socket().recv(16)
+        return TeeResult.SUCCESS, (len(received), zlib.crc32(received),
+                                   len(discard))
+
+
+@register_ta("test-open-oom")
+class _OpenOomTa:
+    def on_open(self, env, regions):
+        env.alloc(TA_MEMORY_LIMIT + 1)
+
+
+@register_ta("test-open-raiser")
+class _OpenRaiserTa:
+    def on_open(self, env, regions):
+        raise ValueError("on_open bug")
+
+
+@register_ta("test-open-refuser")
+class _OpenRefuserTa:
+    def on_open(self, env, regions):
+        return TeeResult.BAD_PARAMETERS
 
 
 class TestContextLifecycle:
@@ -156,6 +208,30 @@ class TestContextLifecycle:
         session.close()
         with pytest.raises(SessionStateError):
             session.invoke(0)
+        ctx.finalize()
+
+
+class TestFailingOpen:
+    """``on_open`` runs under the same policy as ``on_invoke``."""
+
+    def test_out_of_memory_in_on_open_is_named(self, transport):
+        ctx = initialize_context(transport=transport)
+        with pytest.raises(BoundaryError, match="OUT_OF_MEMORY"):
+            ctx.open_session("test-open-oom")
+        ctx.finalize()
+
+    def test_unmapped_exception_in_on_open_is_generic_with_traceback(
+            self, transport, capfd):
+        ctx = initialize_context(transport=transport)
+        with pytest.raises(BoundaryError, match="GENERIC"):
+            ctx.open_session("test-open-raiser")
+        ctx.finalize()
+        assert "ValueError: on_open bug" in capfd.readouterr().err
+
+    def test_status_returned_by_on_open_fails_the_open(self, transport):
+        ctx = initialize_context(transport=transport)
+        with pytest.raises(BoundaryError, match="BAD_PARAMETERS"):
+            ctx.open_session("test-open-refuser")
         ctx.finalize()
 
 
@@ -462,6 +538,42 @@ class TestSocketFacade:
         ctx.finalize()
 
 
+    def test_send_stages_bytes_not_items(self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-wide-send")
+        result = session.invoke(1)
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+        assert (result.status, result.values) == (TeeResult.SUCCESS, (1_200_000,))
+        assert stats.bytes_copied == 1_200_000
+
+    def test_recv_through_the_relay_reads_the_peer_to_eof(self, transport):
+        payload = random.Random(5).randbytes(100_000)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def send_and_hang_up():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(payload)
+
+        peer = threading.Thread(target=send_and_hang_up, daemon=True)
+        peer.start()
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-reader")
+        result = session.invoke(1, values=(listener.getsockname()[1],))
+        peer.join(timeout=10)
+        listener.close()
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (100_000, zlib.crc32(payload), 0)
+        assert stats.bytes_copied == 100_000
+
+
 class TestFaultContainment:
     def test_bad_relay_is_an_errno_and_close_finishes(
             self, transport, shm_segments):
@@ -582,7 +694,7 @@ class TestSupplicantIoctl:
 
         handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
             {},
         )
         assert handle > 0
@@ -604,7 +716,7 @@ class TestSupplicantIoctl:
 
         handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
             {},
         )
         status = supplicant.service(
@@ -623,7 +735,7 @@ class TestSupplicantIoctl:
         supplicant = Supplicant()
         handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
             {},
         )
         supplicant.service(
@@ -636,6 +748,14 @@ class TestSupplicantIoctl:
         assert supplicant.service(
             Message(Command.SOCK_CLOSE, 0, 0, 0, handle), {}) == 0
         assert supplicant.service(last_error, {}) == errno.EOPNOTSUPP
+
+    def test_unknown_protocol_code_is_einval(self):
+        supplicant = Supplicant()
+        body = struct.pack("<BH", 7, 9) + b"127.0.0.1"
+        status = supplicant.service(
+            Message(Command.SOCK_OPEN, 0, 0, 0, 0, body), {})
+        supplicant.close_all()
+        assert status == -errno.EINVAL
 
     def test_unknown_handle_is_ebadf(self):
         supplicant = Supplicant()
@@ -670,7 +790,7 @@ class TestRelayErrorPrecedence:
         supplicant = Supplicant()
         handle = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(1, "127.0.0.1", tcp_server.port)),
+                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
             {},
         )
         assert handle > 0

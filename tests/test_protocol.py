@@ -29,7 +29,7 @@ from teebench.boundary.protocol import (
     write_message,
 )
 from teebench.boundary.regions import RegionDescriptor
-from teebench.core import TA_MEMORY_LIMIT, SharedMode
+from teebench.core import TA_MEMORY_LIMIT, Protocol, SharedMode
 
 
 @pytest.fixture
@@ -229,8 +229,21 @@ def test_values_round_trip():
 
 
 def test_sock_open_body_round_trip():
-    code, host, port = unpack_sock_open_body(pack_sock_open_body(2, "10.1.2.3", 5201))
-    assert (code, host, port) == (2, "10.1.2.3", 5201)
+    protocol, host, port = unpack_sock_open_body(
+        pack_sock_open_body(Protocol.UDP, "10.1.2.3", 5201))
+    assert (protocol, host, port) == (Protocol.UDP, "10.1.2.3", 5201)
+
+
+def test_unknown_region_mode_code_does_not_decode():
+    buf = bytearray(pack_region_descriptor(desc()))
+    buf[4] = 9  # the u8 mode follows the u32 region id
+    with pytest.raises(ValueError, match="region mode code 9"):
+        unpack_region_descriptor(bytes(buf), 0)
+
+
+def test_unknown_socket_protocol_code_does_not_decode():
+    with pytest.raises(ValueError, match="socket protocol code 7"):
+        unpack_sock_open_body(b"\x07\x51\x14" + b"10.1.2.3")
 
 
 def test_ioctl_bodies_round_trip():

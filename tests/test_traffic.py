@@ -1,14 +1,15 @@
 import math
 import socket
+import time
 
 import pytest
 
+from teebench import clock
 from teebench.core import Execution, Mode, Protocol, RunConfig, derive_throughput
 from teebench.traffic import (
     DirectEnv,
     batch_factor,
     fill_dummy_buffer,
-    pace,
     run_measurement,
 )
 
@@ -30,27 +31,64 @@ class TestDummyBuffer:
             fill_dummy_buffer(0, 1)
 
 
-class TestPace:
-    # 128 KiB at 1 Mbit/s: 131072 * 8 / 1e6 = 1.048576 s per chunk
-    INTERVAL = 1.048576
+class _LateFirstSocket:
+    """Accepts every send whole; the first one takes ``delay`` seconds."""
 
-    def test_on_time_intervals_are_analytic(self):
-        deadline = 100.0
-        for k in range(5):
-            decision = pace(deadline, 1e6, 128 * KIB, now=deadline - 0.01)
-            assert decision.wait_until == deadline
-            assert decision.next_deadline == pytest.approx(
-                100.0 + (k + 1) * self.INTERVAL, abs=1e-9)
-            deadline = decision.next_deadline
+    def __init__(self, delay: float):
+        self.delay = delay
 
-    def test_late_send_does_not_shift_the_schedule(self):
-        decision = pace(100.0, 1e6, 128 * KIB, now=103.7)
-        assert decision.wait_until is None
-        assert decision.next_deadline == pytest.approx(100.0 + self.INTERVAL)
+    def send(self, data) -> int:
+        time.sleep(self.delay)
+        self.delay = 0
+        return len(data)
 
-    def test_zero_bitrate_rejected(self):
-        with pytest.raises(ValueError):
-            pace(0.0, 0.0, KIB, now=0.0)
+    def ioctl(self, code, arg) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class _ClockedEnv(DirectEnv):
+    """Hands out one socket and keeps its first clock reading, which is
+    the run's t0."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.t0 = None
+
+    def monotonic(self) -> float:
+        now = super().monotonic()
+        if self.t0 is None:
+            self.t0 = now
+        return now
+
+    def open_socket(self, host, port, protocol):
+        return self.sock
+
+
+class TestPacing:
+    # 1 KiB at 819.2 kbit/s: one chunk every 10 ms, so no batching
+    GAP = 0.01
+
+    def test_a_late_send_does_not_shift_the_schedule(self, monkeypatch):
+        deadlines = []
+        wait_until = clock.wait_until
+
+        def record(deadline):
+            deadlines.append(deadline)
+            return wait_until(deadline)
+
+        monkeypatch.setattr(clock, "wait_until", record)
+        cfg = RunConfig(mode=Mode.CONSTANT_RATE, bitrate=KIB * 8 / self.GAP,
+                        duration=10 * self.GAP, chunk_size=KIB, port=1)
+        env = _ClockedEnv(_LateFirstSocket(3.5 * self.GAP))
+        metrics = run_measurement(cfg, env)
+        assert metrics.error is None and metrics.transmit_calls == 10
+        # one wait per chunk, then the end of the schedule, all on t0 + g*gap
+        assert len(deadlines) >= 10
+        assert deadlines == pytest.approx(
+            [env.t0 + g * self.GAP for g in range(len(deadlines))], abs=1e-9)
 
 
 class TestBatchFactor:
