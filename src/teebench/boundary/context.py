@@ -85,6 +85,16 @@ class BoundaryStats:
 
 InvokeResult = namedtuple("InvokeResult", "status values")
 
+_TEE_RESULTS = {int(result): result for result in TeeResult}
+
+
+def _tee_result(status: int) -> TeeResult:
+    """The ``TeeResult`` a reply carries; any other status is a BoundaryError."""
+    result = _TEE_RESULTS.get(status)
+    if result is None:
+        raise BoundaryError(f"trusted side answered with unknown status {status}")
+    return result
+
 
 class Context:
     """Owner of shared regions, sessions and the boundary statistics."""
@@ -184,16 +194,15 @@ class Session:
         with ctx._lock:
             ctx._sessions.append(self)
         try:
-            self._channel = _CHANNELS[ctx.transport](self)
+            # a released region faults here, before anything crosses
             body = pack_open_body(ta_name, self._scratch.descriptor,
                                   [r.descriptor for r in args_regions])
-            status, _ = self._call(OPEN, body)
-            if status == TeeResult.NOT_FOUND:
+            self._channel = _CHANNELS[ctx.transport](self)
+            status = _tee_result(self._call(OPEN, body)[0])
+            if status is TeeResult.NOT_FOUND:
                 raise TaNotFoundError(f"no trusted application named {ta_name!r}")
-            if status != TeeResult.SUCCESS:
-                raise BoundaryError(
-                    f"opening {ta_name!r} failed with {TeeResult(status).name}"
-                )
+            if status is not TeeResult.SUCCESS:
+                raise BoundaryError(f"opening {ta_name!r} failed with {status.name}")
         except BaseException:
             self._teardown()
             raise
@@ -239,7 +248,7 @@ class Session:
                 command, [r.descriptor for r in regions], tuple(values)
             )
             status, reply = self._call(INVOKE, body)
-            return InvokeResult(TeeResult(status), unpack_values(reply))
+            return InvokeResult(_tee_result(status), unpack_values(reply))
         finally:
             self._op_lock.release()
 
@@ -268,7 +277,11 @@ class Session:
 # --------------------------------------------------------------------------
 
 
-def _trusted_process_main(rfd: int, wfd: int) -> None:
+def _trusted_process_main(rfd: int, wfd: int, parent_fds: tuple[int, int]) -> None:
+    # held here, the parent's ends would keep the request pipe from EOF after it dies
+    for fd in parent_fds:
+        os.close(fd)
+
     def rpc(command, region_id, offset, length, handle, body) -> int:
         write_message(wfd, command, region_id, offset, length, handle, body)
         reply = read_message(rfd)
@@ -299,7 +312,7 @@ class _ProcessChannel:
         to_parent_r, to_parent_w = os.pipe()
         self._proc = _mp_get_context("fork").Process(
             target=_trusted_process_main,
-            args=(to_child_r, to_parent_w),
+            args=(to_child_r, to_parent_w, (to_child_w, to_parent_r)),
             daemon=True,
         )
         self._proc.start()

@@ -1,10 +1,14 @@
 """Shared-memory regions with mode, access-window and lifetime semantics.
 
-Regions are backed by mmap'd files under /dev/shm (tmpfs) so the trusted
-process can attach the same bytes by path. The owning (normal-world) side
-has unrestricted access to its own buffer; the trusted side only ever
-sees the access window, addressed window-relative, and loses access when
-the region is revoked (invocation return for temporary regions, session
+A region is ``os.memfd_create`` memory, held by its fd for the region's
+life and named in no filesystem, as OP-TEE's shared memory is owned by
+the kernel; the kernel frees it when the last holder exits, so a killed
+run leaves nothing behind. The trusted side maps ``/proc/<pid>/fd/<fd>``
+(Linux with procfs), so a released region, whose fd number may be
+reused, yields no descriptor. The owning (normal-world) side has
+unrestricted access to its own buffer; the trusted side only ever sees
+the access window, addressed window-relative, and loses access when the
+region is revoked (invocation return for temporary regions, session
 close for session-bound ones).
 """
 
@@ -13,13 +17,10 @@ from __future__ import annotations
 import enum
 import mmap
 import os
-import tempfile
 from dataclasses import dataclass
 
 from ..core import SharedMode
 from .errors import RegionAllocationError, RegionFault
-
-_SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
 
 class Lifetime(enum.Enum):
@@ -91,25 +92,22 @@ class SharedRegion:
         self.window_offset = offset
         self.window_length = length
         self.lifetime = LIFETIME_FOR_MODE[mode]
-        fd, self._path = tempfile.mkstemp(prefix="teebench-shm-", dir=_SHM_DIR)
+        self._fd = os.memfd_create("teebench-shm")
         try:
-            os.ftruncate(fd, size)
-            self._map = mmap.mmap(fd, size)
-        finally:
-            os.close(fd)
+            os.ftruncate(self._fd, size)
+            self._map = mmap.mmap(self._fd, size)
+        except BaseException:
+            os.close(self._fd)
+            raise
+        self._path = f"/proc/{os.getpid()}/fd/{self._fd}"
         self._view = memoryview(self._map)  # window_view slices this
         self._released = False
 
     @property
     def descriptor(self) -> RegionDescriptor:
-        return RegionDescriptor(
-            region_id=self.region_id,
-            path=self._path,
-            size=self.size,
-            mode=self.mode,
-            window_offset=self.window_offset,
-            window_length=self.window_length,
-        )
+        self._check_open()
+        return RegionDescriptor(self.region_id, self._path, self.size, self.mode,
+                                self.window_offset, self.window_length)
 
     @property
     def released(self) -> bool:
@@ -151,16 +149,13 @@ class SharedRegion:
         return self._view[base:base + length]
 
     def release(self) -> None:
-        """Unmap and delete the backing segment; idempotent."""
+        """Unmap the region and close its fd; idempotent."""
         if self._released:
             return
         self._view.release()
         self._map.close()  # BufferError while a window view is live
         self._released = True
-        try:
-            os.unlink(self._path)
-        except FileNotFoundError:
-            pass
+        os.close(self._fd)
 
     def __del__(self):  # best-effort; the contract is explicit release()
         try:

@@ -269,9 +269,15 @@ class TrustedRuntime:
         if factory is None:
             return TeeResult.NOT_FOUND
         self.ta = factory()
-        self.env.scratch = TrustedRegionView(scratch_desc)
         on_open = getattr(self.ta, "on_open", None) or (lambda env, views: None)
-        return self._enter(region_descs, lambda views: on_open(self.env, views))[0]
+        status = TeeResult.GENERIC
+        try:
+            self.env.scratch = TrustedRegionView(scratch_desc)
+            status = self._enter(region_descs, lambda views: on_open(self.env, views))[0]
+        finally:
+            if status != TeeResult.SUCCESS:
+                self._revoke_all()  # a failed open gets no on_close
+        return status
 
     def handle_invoke(self, ta_command: int,
                       region_descs: list[RegionDescriptor],
@@ -289,9 +295,13 @@ class TrustedRuntime:
             if on_close is not None:
                 on_close(self.env)
         finally:
-            for view in self._views.values():
-                view.revoke()
-            self._views.clear()
-            if self.env.scratch is not None:
-                self.env.scratch.revoke()
+            self._revoke_all()
         return TeeResult.SUCCESS
+
+    def _revoke_all(self) -> None:
+        """Unmap every region shared with this session, scratch included."""
+        for view in self._views.values():
+            view.revoke()
+        self._views.clear()
+        if self.env.scratch is not None:
+            self.env.scratch.revoke()

@@ -48,30 +48,24 @@ class ReportWriteError(OSError):
     """Report file could not be written; the data went to stdout instead."""
 
 
+def _parse_scaled(text: str, suffixes: dict, what: str, cast=float):
+    """A number, times the multiplier its suffix letter names."""
+    body = text.strip()
+    mult = suffixes.get(body[-1:].lower())
+    try:
+        return cast(float(body[:-1]) * mult if mult else float(body))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+
+
 def parse_bitrate(text: str) -> float:
     """Decimal bit rate: plain number or k/M/G suffix (10^3/10^6/10^9)."""
-    mult = 1.0
-    body = text.strip()
-    if body and body[-1].lower() in _RATE_SUFFIX:
-        mult = _RATE_SUFFIX[body[-1].lower()]
-        body = body[:-1]
-    try:
-        return float(body) * mult
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid bit rate {text!r}") from None
+    return _parse_scaled(text, _RATE_SUFFIX, "bit rate")
 
 
 def parse_size(text: str) -> int:
     """Binary byte size: plain number or K/M suffix (1024/1048576)."""
-    mult = 1
-    body = text.strip()
-    if body and body[-1].lower() in _SIZE_SUFFIX:
-        mult = _SIZE_SUFFIX[body[-1].lower()]
-        body = body[:-1]
-    try:
-        return int(round(float(body) * mult))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid size {text!r}") from None
+    return _parse_scaled(text, _SIZE_SUFFIX, "size", lambda n: int(round(n)))
 
 
 @dataclass(frozen=True)

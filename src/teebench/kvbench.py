@@ -23,6 +23,7 @@ from .boundary.protocol import TeeResult
 from .boundary.tas import KvCommand
 from .core import KIB, Execution, SharedMode
 from .kvstore import KvStore
+from .runner import alloc_window_region
 from .traffic import fill_dummy_buffer
 
 REGION_SIZE = 512 * KIB
@@ -30,9 +31,6 @@ OP_CHUNK = 1 * KIB
 SLOT_COUNT = REGION_SIZE // OP_CHUNK
 OPS_PER_RATE = 256
 RATES = tuple(2 ** i for i in range(16))     # 1 .. 32768 ops/s
-
-# partial sharing exposes the data through an offset window of a larger area
-_PARTIAL_PAD = 4 * KIB
 
 
 class Workload(enum.Enum):
@@ -48,12 +46,8 @@ _PUT_FRACTION = {Workload.MIX20: 0.2, Workload.MIX50: 0.5}
 
 def op_types(workload: Workload, count: int, rng: random.Random) -> list[str]:
     """Exact-count operation mix for one rate point, seeded shuffle order."""
-    if workload is Workload.PUT:
-        return ["put"] * count
-    if workload is Workload.GET:
-        return ["get"] * count
-    if workload is Workload.DEL:
-        return ["del"] * count
+    if workload not in _PUT_FRACTION:  # one kind, named by the workload
+        return [workload.value] * count
     puts = round(count * _PUT_FRACTION[workload])
     types = ["put"] * puts + ["get"] * (count - puts)
     rng.shuffle(types)
@@ -140,12 +134,7 @@ class _BoundaryKvRunner:
     def __init__(self, seed: int, shared_mode: SharedMode, switch_cost: float,
                  transport: str):
         self.ctx = initialize_context(switch_cost=switch_cost, transport=transport)
-        if shared_mode is SharedMode.PARTIAL:
-            self.region = self.ctx.allocate_shared_region(
-                REGION_SIZE + _PARTIAL_PAD, shared_mode, offset=_PARTIAL_PAD
-            )
-        else:
-            self.region = self.ctx.allocate_shared_region(REGION_SIZE, shared_mode)
+        self.region = alloc_window_region(self.ctx, REGION_SIZE, shared_mode)
         self.region.window_write(0, fill_dummy_buffer(REGION_SIZE, seed))
         if shared_mode is SharedMode.TEMPORARY:
             self.session = self.ctx.open_session("kv")

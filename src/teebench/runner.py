@@ -26,7 +26,7 @@ from .core import (
 from .traffic import run_measurement
 
 _IO_REGION_SIZE = 16 * KIB
-_PARTIAL_PAD = 4 * KIB
+_PARTIAL_PAD = 4 * KIB  # a partial window starts this far into a larger area
 
 
 class RunFailure(BoundaryError):
@@ -46,12 +46,16 @@ class RunResult:
     ended_at: float
 
 
-def _alloc_io_region(ctx, mode: SharedMode):
+def alloc_window_region(ctx, size: int, mode: SharedMode):
+    """A region whose window is ``size`` bytes in any sharing mode."""
     if mode is SharedMode.PARTIAL:
-        return ctx.allocate_shared_region(
-            _IO_REGION_SIZE + _PARTIAL_PAD, mode, offset=_PARTIAL_PAD
-        )
-    return ctx.allocate_shared_region(_IO_REGION_SIZE, mode)
+        return ctx.allocate_shared_region(size + _PARTIAL_PAD, mode,
+                                          offset=_PARTIAL_PAD)
+    return ctx.allocate_shared_region(size, mode)
+
+
+def _alloc_io_region(ctx, mode: SharedMode):
+    return alloc_window_region(ctx, _IO_REGION_SIZE, mode)
 
 
 def run_client(cfg: RunConfig, *, transport: str = "process") -> RunResult:

@@ -82,26 +82,21 @@ def run_measurement(cfg: RunConfig, env=None) -> TransferMetrics:
     underrun = False
     error = None
 
+    sock = None
     try:
         sock = env.open_socket(cfg.host, cfg.port, cfg.protocol)
-    except OSError as exc:
-        env.free(cfg.chunk_size)
-        return TransferMetrics(
-            transmit_calls=0, bytes_transferred=0, time_in_transmit=0.0,
-            total_runtime=0.0, payload_sha256=digest.hexdigest(),
-            error=f"connect failed: errno {exc.errno}",
-        )
-
-    try:
         sock.ioctl(IoctlCode.SET_BUF_SIZES,
                    (cfg.socket_buffer_size, cfg.socket_buffer_size))
     except OSError as exc:
-        sock.close()
+        step = "connect"
+        if sock is not None:
+            step = "socket buffer setup"
+            sock.close()
         env.free(cfg.chunk_size)
         return TransferMetrics(
             transmit_calls=0, bytes_transferred=0, time_in_transmit=0.0,
             total_runtime=0.0, payload_sha256=digest.hexdigest(),
-            error=f"socket buffer setup failed: errno {exc.errno}",
+            error=f"{step} failed: errno {exc.errno}",
         )
 
     def timed_send(piece) -> int:

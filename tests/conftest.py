@@ -16,7 +16,17 @@ SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
 
 def _shm_segments() -> set[str]:
-    return {n for n in os.listdir(SHM_DIR) if n.startswith("teebench-shm-")}
+    """Named segments in SHM_DIR plus this process's fds (a region's own
+    and any mapping's) on teebench memfd memory, as ``fd <n>: <link>``."""
+    segments = {n for n in os.listdir(SHM_DIR) if n.startswith("teebench-shm-")}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            link = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the fd listdir itself held
+            continue
+        if link.startswith("/memfd:teebench"):
+            segments.add(f"fd {fd}: {link}")
+    return segments
 
 
 @pytest.fixture

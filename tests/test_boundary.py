@@ -1,7 +1,10 @@
 import errno
+import os
 import random
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +13,7 @@ from array import array
 
 import pytest
 
+import teebench
 from teebench import clock
 from teebench.boundary import (
     DISCARD_HANDLE,
@@ -153,6 +157,33 @@ class _OpenRefuserTa:
         return TeeResult.BAD_PARAMETERS
 
 
+@register_ta("test-open-keeper")
+class _OpenKeeperTa:
+    """Keeps the views it was opened with, in this process, then refuses
+    the open; ``on_close`` must not run for it."""
+
+    kept = []
+
+    def on_open(self, env, regions):
+        self.kept.extend([env.scratch, *regions])
+        return TeeResult.BAD_PARAMETERS
+
+    def on_close(self, env):
+        raise AssertionError("on_close after a failed open")
+
+
+@register_ta("test-odd-status")
+class _OddStatusTa:
+    """Answers with a status outside ``TeeResult``: from ``on_open`` when
+    opened with a region, else from command 1."""
+
+    def on_open(self, env, regions):
+        return 99 if regions else TeeResult.SUCCESS
+
+    def on_invoke(self, env, command, params):
+        return 99
+
+
 class TestContextLifecycle:
     def test_initialize_gives_empty_context_and_zeroed_stats(self, transport):
         ctx = initialize_context(transport=transport)
@@ -232,6 +263,32 @@ class TestFailingOpen:
         ctx = initialize_context(transport=transport)
         with pytest.raises(BoundaryError, match="BAD_PARAMETERS"):
             ctx.open_session("test-open-refuser")
+        ctx.finalize()
+
+    def test_a_failed_open_revokes_every_trusted_mapping(self, transport):
+        ctx = initialize_context(transport=transport)
+        region = ctx.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
+        try:
+            with pytest.raises(BoundaryError, match="BAD_PARAMETERS"):
+                ctx.open_session("test-open-keeper", args_regions=(region,))
+            # only the inline channel runs on_open in this process
+            kept = _OpenKeeperTa.kept
+            assert len(kept) == (2 if transport == "inline" else 0)
+            assert all(view.revoked for view in kept)
+        finally:
+            _OpenKeeperTa.kept.clear()
+        session = ctx.open_session("probe", args_regions=(region,))
+        session.close()
+        ctx.release_region(region)
+        ctx.finalize()
+
+    def test_unknown_status_from_on_open_is_named(self, transport):
+        ctx = initialize_context(transport=transport)
+        region = ctx.allocate_shared_region(KIB, SharedMode.WHOLE)
+        with pytest.raises(BoundaryError, match="unknown status 99"):
+            ctx.open_session("test-odd-status", args_regions=(region,))
+        assert ctx.stats.crossings == 2
+        ctx.release_region(region)
         ctx.finalize()
 
 
@@ -384,6 +441,49 @@ class TestTaMemory:
         session.close()
         ctx.release_region(args)
         ctx.release_region(metrics)
+        ctx.finalize()
+
+
+class TestStatusAndStaleRegions:
+    def test_unknown_invoke_status_is_a_boundary_error(self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-odd-status")
+        before = ctx.stats.crossings
+        with pytest.raises(BoundaryError, match="unknown status 99") as caught:
+            session.invoke(1)
+        assert not isinstance(caught.value, ValueError)
+        assert ctx.stats.crossings == before + 2
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        assert ctx.stats.crossings == before + 4
+        session.close()
+        ctx.finalize()
+
+    def test_released_region_cannot_open_a_session(self, transport):
+        ctx = initialize_context(transport=transport)
+        region = ctx.allocate_shared_region(KIB, SharedMode.WHOLE)
+        ctx.release_region(region)
+        with pytest.raises(RegionFault):
+            region.descriptor
+        with pytest.raises(RegionFault):
+            ctx.open_session("probe", args_regions=(region,))
+        assert ctx.stats.crossings == 0
+        session = ctx.open_session("probe")
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        session.close()
+        ctx.finalize()
+
+    def test_released_region_cannot_be_invoked_with(self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        region = ctx.allocate_shared_region(KIB, SharedMode.TEMPORARY)
+        ctx.release_region(region)
+        before = ctx.stats.crossings
+        with pytest.raises(RegionFault):
+            session.invoke(ProbeCommand.STASH, regions=(region,))
+        assert ctx.stats.crossings == before
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        assert ctx.stats.crossings == before + 2
+        session.close()
         ctx.finalize()
 
 
@@ -682,6 +782,62 @@ def test_both_transports_answer_a_probe_script_alike():
     ]
     assert inline_stats == process_stats
     assert inline_stats.crossings == 2 * (7 + 7 + 2)
+
+
+# opens a process session, prints its trusted child's pid, then waits
+_ORPHANING_RUN = """
+import time
+import teebench.runner
+from teebench.boundary import initialize_context
+session = initialize_context(transport="process").open_session("probe")
+print(session._channel._proc.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def _shm_entries() -> set[str]:
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("teebench-")}
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class TestNormalWorldDeath:
+    def test_sigterm_leaves_no_trusted_child_and_no_segment(self):
+        before = _shm_entries()
+        src = os.path.dirname(os.path.dirname(teebench.__file__))
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.Popen(
+            [sys.executable, "-c", _ORPHANING_RUN], stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=pythonpath))
+        child = None
+        try:
+            child = int(run.stdout.readline())
+            run.send_signal(signal.SIGTERM)
+            run.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while not _gone_or_zombie(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _gone_or_zombie(child), "trusted child outlived its normal world"
+            assert _shm_entries() - before == set()
+        finally:
+            if child is not None:
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            run.kill()
+            run.wait()
+            run.stdout.close()
 
 
 class TestSupplicantIoctl:

@@ -210,6 +210,43 @@ class TestFailureModes:
         assert metrics.error is not None and "111" in metrics.error
         assert metrics.transmit_calls == 0
 
+    @pytest.mark.parametrize("fail_at, error", [
+        ("connect", "connect failed: errno 111"),
+        ("ioctl", "socket buffer setup failed: errno 22"),
+    ])
+    def test_setup_failures_share_one_exit(self, fail_at, error):
+        class Sock:
+            closed = False
+
+            def ioctl(self, code, arg):
+                raise OSError(22, "refused")
+
+            def close(self):
+                self.closed = True
+
+        class Env(DirectEnv):
+            held = 0
+            sock = Sock()
+
+            def alloc(self, nbytes):
+                self.held += nbytes
+
+            def free(self, nbytes):
+                self.held -= nbytes
+
+            def open_socket(self, host, port, protocol):
+                if fail_at == "connect":
+                    raise OSError(111, "refused")
+                return self.sock
+
+        env = Env()
+        metrics = run_measurement(
+            RunConfig(mode=Mode.FIXED_BYTES, total_bytes=KIB, port=1), env)
+        assert metrics.error == error
+        assert metrics.transmit_calls == 0 and metrics.bytes_transferred == 0
+        assert env.held == 0
+        assert env.sock.closed is (fail_at == "ioctl")
+
     def test_mid_run_reset_is_partial_not_fatal(self):
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
