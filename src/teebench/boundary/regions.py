@@ -153,7 +153,11 @@ class SharedRegion:
         if self._released:
             return
         self._view.release()
-        self._map.close()  # BufferError while a window view is live
+        try:
+            self._map.close()
+        except BufferError:  # a window view is live: keep the region usable
+            self._view = memoryview(self._map)
+            raise
         self._released = True
         os.close(self._fd)
 

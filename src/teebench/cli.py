@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import queue
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .boundary import BoundaryError
 from .core import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_DURATION,
@@ -356,18 +356,13 @@ def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
     print(f"listening on port {server.port} ({cfg.protocol.value})", file=stream)
     seen = 0
     try:
-        while True:
-            try:
-                record = server.next_record(timeout=0.2)
-            except queue.Empty:
-                continue
+        while flow_limit is None or seen < flow_limit:
+            record = server.wait_for_records(seen + 1, timeout=None)[seen]
             seen += 1
             rate = (record.bytes_received * 8 / record.runtime / 1e6
                     if record.runtime > 0 else 0.0)
             print(f"[{record.peer}] {record.bytes_received} B in "
                   f"{record.runtime:.3f} s ({rate:.2f} Mbit/s)", file=stream)
-            if flow_limit is not None and seen >= flow_limit:
-                break
     except KeyboardInterrupt:
         pass
     finally:
@@ -428,7 +423,7 @@ def main(argv=None, stream=None, flow_limit=None) -> int:
             payload = _run_kvbench_role(inv, stream)
         else:
             payload = _run_energy_role(inv, stream)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, BoundaryError) as exc:
         print(f"teebench: {exc}", file=sys.stderr)
         return 1
     try:

@@ -1,17 +1,19 @@
 """Measuring sink: drains TCP connections or UDP datagram flows into a
 fixed buffer and records per-flow ServerMetrics.
 
-The server always runs in the normal (untrusted) environment. TCP flows
-additionally carry transport introspection (smoothed RTT, MSS) read from
-the kernel; those values are reported verbatim or not at all. UDP flow
-identity is (source address, source port); a flow ends after an idle
-timeout.
+The server always runs in the normal (untrusted) environment. Both
+protocols account a flow in one accumulator (``_Flow``: peer, first and
+last receive time, bytes, calls, SHA-256) that builds its record, and
+every record goes to one list, in completion order, which readers wait
+on. TCP flows additionally carry transport introspection (smoothed RTT,
+MSS) read from the kernel; those values are reported verbatim or not at
+all. UDP flow identity is (source address, source port); a flow ends
+after an idle timeout.
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
 import socket
 import struct
 import threading
@@ -71,28 +73,43 @@ def probe_transport(sock) -> TransportInfo:
     return TransportInfo(smoothed_rtt=rtt, max_segment_size=mss)
 
 
-class _UdpFlow:
+class _Flow:
+    """One flow's receive accounting; runtime is first to last receive."""
+
     __slots__ = ("peer", "first", "last", "bytes", "calls", "digest")
 
-    def __init__(self, peer: str, now: float):
-        self.peer = peer
-        self.first = now
-        self.last = now
-        self.bytes = 0
-        self.calls = 0
+    def __init__(self, addr):
+        self.peer = f"{addr[0]}:{addr[1]}"
+        self.first = self.last = 0.0
+        self.bytes = self.calls = 0
         self.digest = hashlib.sha256()
+
+    def add(self, data: bytes, now: float) -> None:
+        if not self.calls:
+            self.first = now
+        self.last = now
+        self.bytes += len(data)
+        self.calls += 1
+        self.digest.update(data)
+
+    def record(self, protocol: Protocol, **transport) -> ServerMetrics:
+        return ServerMetrics(
+            peer=self.peer, protocol=protocol,
+            bytes_received=self.bytes, receive_calls=self.calls,
+            runtime=self.last - self.first,
+            payload_sha256=self.digest.hexdigest(), **transport)
 
 
 class BenchmarkServer:
-    """Accepts flows and serializes their metric records through a single
-    collector queue, one record per flow in completion order."""
+    """Accepts flows and keeps one metric record per flow, in completion
+    order, in a single list that readers wait on."""
 
     def __init__(self, cfg: ServerConfig | None = None):
         self.cfg = cfg or ServerConfig()
-        self._records: "queue.Queue[ServerMetrics | None]" = queue.Queue()
         self._collected: list[ServerMetrics] = []
+        self._arrived = threading.Condition()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._listener: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
         self._sock: socket.socket | None = None
         self.port: int | None = None
@@ -116,17 +133,16 @@ class BenchmarkServer:
             runner = self._udp_loop
         self._sock = sock
         self.port = sock.getsockname()[1]
-        thread = threading.Thread(target=runner, args=(sock,), daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._listener = threading.Thread(target=runner, args=(sock,), daemon=True)
+        self._listener.start()
         return self
 
     def stop(self) -> None:
         """Stop accepting, drain running flows and close the listener."""
         self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=10)
-        for worker in list(self._workers):
+        if self._listener is not None:
+            self._listener.join(timeout=10)
+        for worker in self._workers:
             worker.join(timeout=10)
         if self._sock is not None:
             self._sock.close()
@@ -141,35 +157,32 @@ class BenchmarkServer:
     # -- records ---------------------------------------------------------------
 
     def _emit(self, record: ServerMetrics) -> None:
-        self._collected.append(record)
-        self._records.put(record)
+        with self._arrived:
+            self._collected.append(record)
+            self._arrived.notify_all()
 
     def collected(self) -> list[ServerMetrics]:
-        return list(self._collected)
+        with self._arrived:
+            return list(self._collected)
 
-    def next_record(self, timeout: float | None = None) -> ServerMetrics:
-        return self._records.get(timeout=timeout)
-
-    def wait_for_records(self, count: int, timeout: float = 30.0) -> list[ServerMetrics]:
-        deadline = clock.monotonic() + timeout
-        while len(self._collected) < count:
-            remaining = deadline - clock.monotonic()
-            if remaining <= 0:
+    def wait_for_records(self, count: int,
+                         timeout: float | None = 30.0) -> list[ServerMetrics]:
+        """The first ``count`` records, waiting up to ``timeout`` seconds
+        for them to complete; ``timeout=None`` waits forever."""
+        with self._arrived:
+            if not self._arrived.wait_for(
+                    lambda: len(self._collected) >= count, timeout):
                 raise TimeoutError(
                     f"expected {count} flow records, got {len(self._collected)}"
                 )
-            try:
-                self._records.get(timeout=min(remaining, 0.2))
-            except queue.Empty:
-                pass
-        return self.collected()[:count]
+            return self._collected[:count]
 
     # -- TCP -----------------------------------------------------------------
 
-    def _tcp_accept_loop(self, listener: socket.socket) -> None:
+    def _tcp_accept_loop(self, sock: socket.socket) -> None:
         while not self._stop.is_set():
             try:
-                conn, addr = listener.accept()
+                conn, addr = sock.accept()
             except socket.timeout:
                 continue
             except OSError:
@@ -178,32 +191,20 @@ class BenchmarkServer:
                 target=self._tcp_flow, args=(conn, addr), daemon=True
             )
             worker.start()
+            self._workers = [w for w in self._workers if w.is_alive()]
             self._workers.append(worker)
 
     def _tcp_flow(self, conn: socket.socket, addr) -> None:
         cfg = self.cfg
-        peer = f"{addr[0]}:{addr[1]}"
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
-        digest = hashlib.sha256()
-        first = None
-        last = None
-        total = 0
-        calls = 0
+        flow = _Flow(addr)
         error = None
         rtt_samples: list[float] = []
         last_probe = clock.monotonic()
         try:
-            while True:
-                data = conn.recv(cfg.recv_buffer)
+            while data := conn.recv(cfg.recv_buffer):
                 now = clock.monotonic()
-                if not data:
-                    break
-                calls += 1
-                if first is None:
-                    first = now
-                last = now
-                total += len(data)
-                digest.update(data)
+                flow.add(data, now)
                 if now - last_probe >= cfg.rtt_sample_interval:
                     last_probe = now
                     info = probe_transport(conn)
@@ -217,55 +218,31 @@ class BenchmarkServer:
         if info.smoothed_rtt is not None:
             rtt_samples.append(info.smoothed_rtt)
         conn.close()
-        self._emit(ServerMetrics(
-            peer=peer,
-            protocol=Protocol.TCP,
-            bytes_received=total,
-            receive_calls=calls,
-            runtime=(last - first) if first is not None else 0.0,
-            smoothed_rtt=info.smoothed_rtt,
+        self._emit(flow.record(
+            Protocol.TCP, smoothed_rtt=info.smoothed_rtt,
             max_segment_size=info.max_segment_size,
-            payload_sha256=digest.hexdigest(),
-            rtt_samples=tuple(rtt_samples),
-            error=error,
-        ))
+            rtt_samples=tuple(rtt_samples), error=error))
 
     # -- UDP ---------------------------------------------------------------------
 
     def _udp_loop(self, sock: socket.socket) -> None:
         cfg = self.cfg
-        flows: dict[tuple, _UdpFlow] = {}
+        flows: dict[tuple, _Flow] = {}
         while not self._stop.is_set():
             try:
                 data, addr = sock.recvfrom(cfg.recv_buffer)
                 now = clock.monotonic()
                 flow = flows.get(addr)
                 if flow is None:
-                    flow = flows[addr] = _UdpFlow(f"{addr[0]}:{addr[1]}", now)
-                flow.calls += 1
-                flow.bytes += len(data)
-                flow.digest.update(data)
-                flow.last = now
+                    flow = flows[addr] = _Flow(addr)
+                flow.add(data, now)
             except socket.timeout:
                 pass
             except OSError:
                 break
             now = clock.monotonic()
-            expired = [a for a, f in flows.items()
-                       if now - f.last > cfg.udp_idle_timeout]
-            for addr in expired:
-                self._emit_udp(flows.pop(addr))
+            for addr in [a for a, f in flows.items()
+                         if now - f.last > cfg.udp_idle_timeout]:
+                self._emit(flows.pop(addr).record(Protocol.UDP))
         for flow in flows.values():
-            self._emit_udp(flow)
-
-    def _emit_udp(self, flow: _UdpFlow) -> None:
-        self._emit(ServerMetrics(
-            peer=flow.peer,
-            protocol=Protocol.UDP,
-            bytes_received=flow.bytes,
-            receive_calls=flow.calls,
-            runtime=flow.last - flow.first,
-            smoothed_rtt=None,
-            max_segment_size=None,
-            payload_sha256=flow.digest.hexdigest(),
-        ))
+            self._emit(flow.record(Protocol.UDP))

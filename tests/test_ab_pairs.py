@@ -16,8 +16,8 @@ def ab_pairs():
         sys.path.remove(str(TOOLS_DIR))
 
 
-def _result(**metrics):
-    return {"correct": True, "failed": 0,
+def _result(failed=0, attempted=100, **metrics):
+    return {"correct": True, "failed": failed, "attempted": attempted,
             "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
 
 
@@ -28,7 +28,8 @@ def test_summary_gives_quartiles_and_wins_in_the_declared_direction(ab_pairs):
              for p, c in zip(parent, change)]
     summary = ab_pairs.summarize(
         pairs + [(_result(), _result(slowdown_x=1.0))],  # one side lacks it
-        {"slowdown_x": "lower", "goodput": "higher", "absent": "lower"})
+        {"slowdown_x": "lower", "goodput": "higher", "absent": "lower"}
+    )["metrics"]
 
     lower = summary["slowdown_x"]
     assert lower["n"] == 4
@@ -39,3 +40,15 @@ def test_summary_gives_quartiles_and_wins_in_the_declared_direction(ab_pairs):
     higher = summary["goodput"]
     assert (higher["wins"], higher["losses"]) == (1, 2)
     assert "absent" not in summary
+
+
+def test_summary_totals_failed_and_attempted_ops_per_side(ab_pairs):
+    pairs = [(_result(failed=0, attempted=100, slowdown_x=2.0),
+              _result(failed=3, attempted=90, slowdown_x=2.0)),
+             (_result(failed=1, attempted=110, slowdown_x=2.0),
+              _result(failed=0, attempted=120, slowdown_x=2.0)),
+             # a run that wrote no result line has no operation counts
+             ({"correct": False, "metrics": {}}, _result(attempted=10))]
+    ops = ab_pairs.summarize(pairs, {"slowdown_x": "lower"})["ops"]
+    assert ops == {"parent": {"failed": 1, "attempted": 210},
+                   "change": {"failed": 3, "attempted": 220}}

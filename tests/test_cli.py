@@ -318,6 +318,22 @@ class TestMainRoles:
         report = json.loads(next(tmp_path.glob("server-*.json")).read_text())
         assert report["flows"][0]["bytes_received"] == 4096
 
+    def test_boundary_failure_is_exit_1_not_a_traceback(self, tmp_path,
+                                                         monkeypatch, capsys):
+        import teebench.cli as cli_mod
+        from teebench.boundary.protocol import TeeResult
+        from teebench.runner import RunFailure
+
+        def fail(config):
+            raise RunFailure(TeeResult.GENERIC)
+
+        monkeypatch.setattr(cli_mod, "run_client", fail)
+        rc = main(["--client", "127.0.0.1", "--bytes", "1K",
+                   "--exec", "boundary", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "teebench: trusted run failed with GENERIC\n")
+
     def test_kvbench_role_writes_series_and_csv(self, tmp_path, monkeypatch):
         import teebench.cli as cli_mod
 

@@ -79,6 +79,9 @@ class TestOwnerAccess:
             assert view == b"live"
             with pytest.raises(BufferError):
                 region.release()
+            assert not region.released
+            with region.window_view(0, 4) as again:
+                assert again == b"live"
         region.release()
         assert region.released
 

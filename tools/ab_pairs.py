@@ -10,8 +10,10 @@ falls on both sides alike. Each run's last stdout line is its JSON
 result. For every metric the summary gives each side's median and
 quartiles and how many pairs the change won: a pair counts for the
 change when its value is better in the direction ``BENCHMARK.json``
-declares, and a tie counts for neither side. A run whose result line
-is missing or does not read ``correct: true`` is flagged.
+declares, and a tie counts for neither side. It also totals each
+side's failed and attempted operations and prints its share of failed
+ones. A run whose result line is missing or does not read ``correct:
+true`` is flagged.
 """
 
 from __future__ import annotations
@@ -56,14 +58,19 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[tuple[dict, dict]],
               better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's (q1, median, q3), the change's wins and
-    losses over the pairs, and the change of the median relative to the
-    parent's.
+    """Under "metrics", per metric: each side's (q1, median, q3), the
+    change's wins and losses over the pairs, and the change of the
+    median relative to the parent's. Under "ops", per side: its
+    ``failed`` and ``attempted`` operations summed over all its runs.
 
     ``pairs`` holds (parent, change) result lines as ``bench/run.py``
     prints them; ``better`` maps each metric to "lower" or "higher".
-    A pair in which either side lacks the metric is left out of it.
+    A pair in which either side lacks the metric is left out of it; a
+    run without operation counts adds none.
     """
+    ops = {side: {key: sum(pair[i].get(key, 0) for pair in pairs)
+                  for key in ("failed", "attempted")}
+           for i, side in enumerate(("parent", "change"))}
     out = {}
     for name, direction in better.items():
         both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -81,7 +88,7 @@ def summarize(pairs: list[tuple[dict, dict]],
             "wins": wins, "losses": losses,
             "median_delta": change[1] / parent[1] - 1 if parent[1] else None,
         }
-    return out
+    return {"metrics": out, "ops": ops}
 
 
 def _seeds(text: str) -> list[int]:
@@ -119,13 +126,18 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {len(pairs)} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<12} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
           f"{'median':>8} {'wins':>6}")
-    for name, s in summarize(pairs, better).items():
+    summary = summarize(pairs, better)
+    for name, s in summary["metrics"].items():
         p = "/".join(f"{v:.4g}" for v in s["parent"])
         c = "/".join(f"{v:.4g}" for v in s["change"])
         delta = (f"{s['median_delta']:+.1%}" if s["median_delta"] is not None
                  else "n/a")
         print(f"{name:<12} {p:>28} {c:>28} {delta:>8} "
               f"{s['wins']:>3}/{s['n']}")
+    for side, n in summary["ops"].items():
+        share = n["failed"] / n["attempted"] if n["attempted"] else 0.0
+        print(f"{side} failed ops: {n['failed']} of {n['attempted']} "
+              f"({share:.4%})")
     for line in flagged:
         print(f"FLAGGED {line}")
     return 1 if flagged else 0
