@@ -6,12 +6,14 @@ length), any other region id is EFAULT, and the answer is one int
 status. A send on an open socket goes to the OS straight from a view of
 the shared mapping, released before the call returns, so the one copy
 of its payload in user space is the trusted side's into shared memory,
-as on OP-TEE. The supplicant keeps each handle's last OS errno, which
-SOCK_ERROR answers, also after SOCK_CLOSE; a failure that is not an OS
-error, a fault or a malformed request is EIO, so the relay stays in
-step. Handle 0 is a built-in always-open discard sink that swallows
-sends (after reading them out of shared memory) and returns EOF on
-recv, used by scripted crossing-accounting runs.
+as on OP-TEE. A recv lands in such a view, taken before the socket is
+read, so a recv whose span faults consumes nothing. The supplicant
+keeps each handle's last OS errno, which SOCK_ERROR answers, also after
+SOCK_CLOSE; a failure that is not an OS error, a fault or a malformed
+request is EIO, so the relay stays in step. Handle 0 is a built-in
+always-open discard sink that swallows sends (after reading them out of
+shared memory) and returns EOF on recv, used by scripted
+crossing-accounting runs.
 
 ``OsSocket`` is the one OS-socket surface of the package: the supplicant
 maps each handle to one, and native (direct) runs use it as is.
@@ -67,6 +69,9 @@ class OsSocket:
 
     def recv(self, max_bytes: int) -> bytes:
         return self.raw.recv(max_bytes)
+
+    def recv_into(self, buffer) -> int:
+        return self.raw.recv_into(buffer)
 
     def ioctl(self, code: IoctlCode, arg) -> None:
         if code == IoctlCode.SET_BUF_SIZES:
@@ -134,11 +139,13 @@ class Supplicant:
             if sock is None:
                 return -errno.EBADF
             if cmd == SOCK_RECV:
-                region = _window(regions, region_id)
-                data = sock.recv(length)
-                if data:
-                    region.window_write(offset, data)
-                return len(data)
+                # the window check comes first, so a fault takes nothing
+                # from the socket; then straight into the shared mapping
+                view = _window(regions, region_id).window_view(offset, length)
+                try:
+                    return sock.recv_into(view)
+                finally:
+                    view.release()
             if cmd == SOCK_CLOSE:
                 del self._sockets[handle]
                 sock.close()

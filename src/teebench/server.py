@@ -9,6 +9,17 @@ on. TCP flows additionally carry transport introspection (smoothed RTT,
 MSS) read from the kernel; those values are reported verbatim or not at
 all. UDP flow identity is (source address, source port); a flow ends
 after an idle timeout.
+
+The sink shares its process, and often its core, with the client it
+measures, so its own wake-ups are billed to that client. A TCP flow
+therefore lets the kernel coalesce them: after the first receive it
+sets ``SO_RCVLOWAT`` to half of the smaller of the receive buffer and
+the socket buffer, so a receive returns only once that many bytes are
+queued, or at EOF or an error (which still deliver a shorter tail). The
+first receive runs with the default mark of one byte, so ``first`` is
+when data first arrived, not when a mark's worth had. Since a slow flow
+may then not wake the sink for a long time, the smoothed RTT is sampled
+whenever a receive waits ``rtt_sample_interval`` without returning.
 """
 
 from __future__ import annotations
@@ -197,15 +208,32 @@ class BenchmarkServer:
     def _tcp_flow(self, conn: socket.socket, addr) -> None:
         cfg = self.cfg
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
+        # A receive that waits this long without data takes an RTT sample.
+        conn.settimeout(cfg.rtt_sample_interval)
+        mark = min(cfg.recv_buffer, cfg.socket_buffer) // 2
         flow = _Flow(addr)
         error = None
         rtt_samples: list[float] = []
         last_probe = clock.monotonic()
         try:
-            while data := conn.recv(cfg.recv_buffer):
+            while True:
+                try:
+                    data = conn.recv(cfg.recv_buffer)
+                except TimeoutError:
+                    data = None
                 now = clock.monotonic()
-                flow.add(data, now)
-                if now - last_probe >= cfg.rtt_sample_interval:
+                if data:
+                    if not flow.calls:
+                        # The sink's wake-ups are billed to the client on
+                        # its core: from here the kernel wakes it once per
+                        # ``mark`` bytes, EOF or error, not per segment.
+                        # Set only after the first receive, so ``first``
+                        # is not held back until a mark's worth arrives.
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVLOWAT, mark)
+                    flow.add(data, now)
+                elif data is not None:
+                    break
+                if data is None or now - last_probe >= cfg.rtt_sample_interval:
                     last_probe = now
                     info = probe_transport(conn)
                     if info.smoothed_rtt is not None:

@@ -989,6 +989,54 @@ class TestRelayErrorPrecedence:
         assert supplicant.service(last_error, regions) == errno.EOPNOTSUPP
 
 
+class TestFaultingRecv:
+    """A relayed recv whose span leaves the window faults before it
+    touches the socket, so the waiting bytes stay for the next recv."""
+
+    @pytest.fixture
+    def fed(self):
+        from teebench.boundary.protocol import pack_sock_open_body
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        supplicant = Supplicant()
+        handle = supplicant.service(
+            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
+                    pack_sock_open_body(Protocol.TCP, "127.0.0.1",
+                                        listener.getsockname()[1])),
+            {},
+        )
+        assert handle > 0
+        peer, _ = listener.accept()
+        payload = bytes(range(100))
+        peer.sendall(payload)
+        peer.shutdown(socket.SHUT_WR)  # a consumed payload reads as EOF
+        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        yield supplicant, handle, region, payload
+        supplicant.close_all()
+        region.release()
+        peer.close()
+        listener.close()
+
+    @pytest.mark.parametrize("offset, length", [(4 * KIB - 6, 100), (0, 2**40)],
+                             ids=["past-the-window", "oversized"])
+    def test_faulting_recv_is_efault_and_consumes_nothing(self, fed, offset,
+                                                          length):
+        supplicant, handle, region, payload = fed
+        regions = {region.region_id: region}
+        bad = Message(Command.SOCK_RECV, region.region_id, offset, length, handle)
+        assert supplicant.service(bad, regions) == -errno.EFAULT
+        received = b""
+        while len(received) < len(payload):
+            got = supplicant.service(
+                Message(Command.SOCK_RECV, region.region_id, len(received),
+                        len(payload) - len(received), handle), regions)
+            assert got > 0
+            received = region.window_read(0, len(received) + got)
+        assert received == payload
+        last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
+        assert supplicant.service(last_error, regions) == 0
+
+
 class TestConcurrency:
     def test_sessions_in_parallel_threads_keep_exact_stats(self, transport):
         ctx = initialize_context(transport=transport)

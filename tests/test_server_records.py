@@ -1,9 +1,11 @@
 """The sink's record path: flow accounting, the record list and its
 waiters, worker bookkeeping and the CLI server loop that waits on it."""
 
+import hashlib
 import json
 import os
 import queue
+import random
 import signal
 import socket
 import subprocess
@@ -14,12 +16,21 @@ from pathlib import Path
 
 import pytest
 
+from teebench.server import BenchmarkServer, ServerConfig
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+KIB = 1024
 
 
 def send_tcp(port, data):
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall(data)
+
+
+def send_in_chunks(port, data, chunk=KIB):
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        for at in range(0, len(data), chunk):
+            sock.sendall(data[at:at + chunk])
 
 
 def test_udp_runtime_spans_first_to_last_datagram(udp_server):
@@ -75,3 +86,35 @@ def test_sigint_ends_the_cli_server_with_its_report(tmp_path):
         proc.wait()
     report = json.loads(next(tmp_path.glob("server-*.json")).read_text())
     assert [f["bytes_received"] for f in report["flows"]] == [4096]
+
+
+def test_tcp_receive_wakeups_are_coalesced(tcp_server):
+    payload = random.Random(1).randbytes(1024 * KIB)
+    send_in_chunks(tcp_server.port, payload)
+    record = tcp_server.wait_for_records(1)[0]
+    cfg = tcp_server.cfg
+    mark = min(cfg.recv_buffer, cfg.socket_buffer) // 2
+    assert record.bytes_received == len(payload)
+    assert record.payload_sha256 == hashlib.sha256(payload).hexdigest()
+    assert record.receive_calls <= len(payload) // mark + 4
+
+
+def test_tcp_runtime_spans_first_to_last_receive(tcp_server):
+    with socket.create_connection(("127.0.0.1", tcp_server.port)) as sock:
+        sock.sendall(b"t" * 64)
+        time.sleep(0.15)
+        sock.sendall(b"t" * 64)
+    record = tcp_server.wait_for_records(1)[0]
+    assert record.bytes_received == 128
+    assert 0.1 <= record.runtime < 0.3
+
+
+def test_a_small_socket_buffer_does_not_stall_the_flow():
+    cfg = ServerConfig(bind="127.0.0.1", port=0, socket_buffer=16 * KIB)
+    payload = random.Random(2).randbytes(256 * KIB)
+    with BenchmarkServer(cfg) as server:
+        send_in_chunks(server.port, payload)
+        record = server.wait_for_records(1)[0]
+    assert record.bytes_received == len(payload)
+    assert record.payload_sha256 == hashlib.sha256(payload).hexdigest()
+    assert record.error is None
