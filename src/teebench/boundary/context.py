@@ -1,10 +1,12 @@
 """Normal-world lifecycle: contexts, sessions and crossing accounting.
 
 A session talks to its trusted application over a channel. The
-"process" channel (the default) forks the application into its own
-process wired up with a control pipe plus shared memory; the "inline"
-channel calls the same ``TrustedRuntime.dispatch`` in the calling process
-and exists for tests (``transport="inline"``).
+"process" channel (the default) forks the application bare (``os.fork``)
+into its own process wired up with a control pipe plus shared memory;
+the child holds only the regions its OPEN names, and closing the session
+kills and reaps it. The "inline" channel calls the same
+``TrustedRuntime.dispatch`` in the calling process and exists for tests
+(``transport="inline"``).
 
 Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
@@ -25,10 +27,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import signal
+import sys
 import threading
+import traceback
 from collections import namedtuple
 from dataclasses import dataclass
-from multiprocessing import get_context as _mp_get_context
 
 from .. import clock
 from ..core import MIB, SharedMode, TA_MEMORY_LIMIT
@@ -277,6 +281,14 @@ class Session:
 # --------------------------------------------------------------------------
 
 
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
 def _trusted_process_main(rfd: int, wfd: int, parent_fds: tuple[int, int]) -> None:
     # held here, the parent's ends would keep the request pipe from EOF after it dies
     for fd in parent_fds:
@@ -290,32 +302,37 @@ def _trusted_process_main(rfd: int, wfd: int, parent_fds: tuple[int, int]) -> No
         return reply[4]  # status
 
     runtime = TrustedRuntime(rpc)
-    while True:
-        msg = read_message(rfd)
-        if msg is None:
-            break
+    while (msg := read_message(rfd)) is not None:
         status, body = runtime.dispatch(msg.command, msg.body)
+        if msg.command == CLOSE or (msg.command == OPEN and status != TeeResult.SUCCESS):
+            _flush_stdio()  # the parent kills this process once it has this RETURN
+            write_message(wfd, RETURN, status=status, body=body)
+            return
         write_message(wfd, RETURN, status=status, body=body)
-        if msg.command == CLOSE or (
-                msg.command == OPEN and status != TeeResult.SUCCESS):
-            break
-    os.close(rfd)
-    os.close(wfd)
 
 
 class _ProcessChannel:
-    """The trusted runtime in a forked process behind two pipes."""
+    """The trusted runtime in a bare forked process behind two pipes.
+
+    The child holds only what OPEN names (the fork releases its copies of
+    the parent's regions); ``close`` kills and reaps it.
+    """
 
     def __init__(self, session: Session):
         self._serve = session._serve
         to_child_r, to_child_w = os.pipe()
         to_parent_r, to_parent_w = os.pipe()
-        self._proc = _mp_get_context("fork").Process(
-            target=_trusted_process_main,
-            args=(to_child_r, to_parent_w, (to_child_w, to_parent_r)),
-            daemon=True,
-        )
-        self._proc.start()
+        _flush_stdio()  # else the child would write the parent's buffered output again
+        self._pid = os.fork()
+        if self._pid == 0:  # the child; it never returns from here
+            try:
+                _trusted_process_main(to_child_r, to_parent_w, (to_child_w, to_parent_r))
+                os._exit(0)
+            except BaseException:
+                traceback.print_exc()
+                _flush_stdio()
+            finally:
+                os._exit(1)
         os.close(to_child_r)
         os.close(to_parent_w)
         self._wfd = to_child_w
@@ -324,25 +341,21 @@ class _ProcessChannel:
     def exchange(self, command: int, body: bytes) -> tuple[int, bytes]:
         """Send one request, relaying the trusted side's calls until RETURN."""
         rfd, wfd, serve = self._rfd, self._wfd, self._serve
-        write_message(wfd, command, body=body)
-        while True:
-            msg = read_message(rfd)
-            if msg is None:
-                raise BoundaryError("trusted process terminated unexpectedly")
-            if msg[0] == RETURN:
-                return msg.status, msg.body
-            write_message(wfd, RETURN, 0, 0, 0, serve(msg))
+        try:
+            write_message(wfd, command, body=body)
+            while (msg := read_message(rfd)) is not None:
+                if msg[0] == RETURN:
+                    return msg.status, msg.body
+                write_message(wfd, RETURN, 0, 0, 0, serve(msg))
+        except OSError:  # a write found the child gone (EPIPE)
+            pass
+        raise BoundaryError("trusted process terminated unexpectedly")
 
     def close(self) -> None:
-        for fd in (self._wfd, self._rfd):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5)
+        os.close(self._wfd)
+        os.close(self._rfd)
+        os.kill(self._pid, signal.SIGKILL)
+        os.waitpid(self._pid, 0)
 
 
 class _InlineChannel:

@@ -5,11 +5,12 @@ life and named in no filesystem, as OP-TEE's shared memory is owned by
 the kernel; the kernel frees it when the last holder exits, so a killed
 run leaves nothing behind. The trusted side maps ``/proc/<pid>/fd/<fd>``
 (Linux with procfs), so a released region, whose fd number may be
-reused, yields no descriptor. The owning (normal-world) side has
-unrestricted access to its own buffer; the trusted side only ever sees
-the access window, addressed window-relative, and loses access when the
-region is revoked (invocation return for temporary regions, session
-close for session-bound ones).
+reused, yields no descriptor. A forked child releases its copies of
+every region at the fork, so it holds only the regions it maps again
+that way. The owning (normal-world) side has unrestricted access to its
+own buffer; the trusted side only ever sees the access window, addressed
+window-relative, and loses access when the region is revoked (invocation
+return for temporary regions, session close for session-bound ones).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import enum
 import mmap
 import os
+import weakref
 from dataclasses import dataclass
 
 from ..core import SharedMode
@@ -102,6 +104,7 @@ class SharedRegion:
         self._path = f"/proc/{os.getpid()}/fd/{self._fd}"
         self._view = memoryview(self._map)  # window_view slices this
         self._released = False
+        _live_regions.add(self)
 
     @property
     def descriptor(self) -> RegionDescriptor:
@@ -166,6 +169,21 @@ class SharedRegion:
             self.release()
         except Exception:
             pass
+
+
+_live_regions = weakref.WeakSet()  # every SharedRegion not yet collected
+
+
+def _release_inherited_regions() -> None:
+    """In a forked child, drop the copies of the parent's regions."""
+    for region in list(_live_regions):
+        try:
+            region.release()
+        except BufferError:  # a view of it is live: leave it mapped
+            pass
+
+
+os.register_at_fork(after_in_child=_release_inherited_regions)
 
 
 class TrustedRegionView:

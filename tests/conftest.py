@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import tempfile
 
@@ -34,14 +33,32 @@ def shm_segments():
     return _shm_segments
 
 
+def _children() -> set[int]:
+    """Pids whose parent is this process, zombies included."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:  # exited since the listing
+            continue
+        # fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+            pids.add(int(entry))
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_segments_or_children():
-    """Fail a test that leaves a shared-memory segment or a child behind."""
+    """Fail a test that leaves a shared-memory segment or a child, live or
+    unreaped, behind."""
     segments = _shm_segments()
-    children = set(multiprocessing.active_children())
+    children = _children()
     yield
     leaked = _shm_segments() - segments
-    alive = set(multiprocessing.active_children()) - children
+    alive = _children() - children
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
     assert not alive, f"leaked child processes: {alive}"
 

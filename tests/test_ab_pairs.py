@@ -52,3 +52,39 @@ def test_summary_totals_failed_and_attempted_ops_per_side(ab_pairs):
     ops = ab_pairs.summarize(pairs, {"slowdown_x": "lower"})["ops"]
     assert ops == {"parent": {"failed": 1, "attempted": 210},
                    "change": {"failed": 3, "attempted": 220}}
+
+
+_REPORT = """\
+slowdown_x                                  3.76811 x       (median over rounds; q1 3.72288, q3 3.82809, n=55)
+goodput_MBps                                52.8528 MB/s    (q1 51.9765, q3 54.4907, n=55)
+direct_goodput_MBps                         199.494 MB/s    (q1 195.628, q3 206.552, n=55)
+server.bytes_per_recv                       64527.8 B       (q1 64527.8, q3 64527.8, n=55)
+server.receive_calls                             65 count   (q1 65, q3 65, n=55)
+{"correct": true, "metrics": {}}
+"""
+
+
+def test_bases_are_read_from_the_series_lines_of_a_report(ab_pairs):
+    assert ab_pairs.parse_bases(_REPORT) == {
+        "goodput_MBps": 52.8528, "direct_goodput_MBps": 199.494,
+        "server.receive_calls": 65.0}
+    assert ab_pairs.parse_bases('{"correct": false}\n') == {}
+
+
+def test_summary_gives_each_sides_quartiles_of_the_bases(ab_pairs):
+    def run(goodput, direct=None):
+        result = _result(slowdown_x=2.0)
+        result["bases"] = {"goodput_MBps": goodput}
+        if direct is not None:
+            result["bases"]["direct_goodput_MBps"] = direct
+        return result
+
+    pairs = [(run(50.0), run(40.0, 200.0)), (run(52.0), run(44.0, 210.0)),
+             (run(54.0), run(48.0, 220.0)),
+             ({"correct": False, "metrics": {}}, run(60.0))]  # no bases
+    bases = ab_pairs.summarize(pairs, {"slowdown_x": "lower"})["bases"]
+    assert bases["goodput_MBps"] == {"parent": (50.0, 52.0, 54.0),
+                                     "change": (41.0, 46.0, 57.0)}
+    assert bases["direct_goodput_MBps"] == {"parent": None,
+                                            "change": (200.0, 210.0, 220.0)}
+    assert "server.receive_calls" not in bases

@@ -172,6 +172,14 @@ class _OpenKeeperTa:
         raise AssertionError("on_close after a failed open")
 
 
+@register_ta("test-exiter")
+class _ExitingTa:
+    """Ends its trusted process in the middle of an invocation."""
+
+    def on_invoke(self, env, command, params):
+        os._exit(3)
+
+
 @register_ta("test-odd-status")
 class _OddStatusTa:
     """Answers with a status outside ``TeeResult``: from ``on_open`` when
@@ -732,6 +740,19 @@ class TestFaultContainment:
             2 + 2 + 2 * 2 + 2 + 2, 2, 0)
         assert "TypeError: supplicant bug" in capfd.readouterr().err
 
+    def test_trusted_process_death_is_a_boundary_error_on_invoke_and_close(self):
+        fds = len(os.listdir("/proc/self/fd"))
+        ctx = initialize_context(transport="process")
+        session = ctx.open_session("test-exiter")
+        with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+            session.invoke(1)
+        time.sleep(0.3)  # the child has finished exiting before CLOSE is written
+        with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+            session.close()
+        assert session.closed
+        ctx.finalize()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     def test_many_zero_copy_sends_leave_the_scratch_releasable(
             self, transport, tcp_server):
         ctx = initialize_context(transport=transport)
@@ -790,7 +811,7 @@ import time
 import teebench.runner
 from teebench.boundary import initialize_context
 session = initialize_context(transport="process").open_session("probe")
-print(session._channel._proc.pid, flush=True)
+print(session._channel._pid, flush=True)
 time.sleep(60)
 """
 
@@ -808,6 +829,67 @@ def _gone_or_zombie(pid: int) -> bool:
     except FileNotFoundError:
         return True
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _memfd_holds(pid: int, inode: int) -> tuple[int, int]:
+    """(fd links, mapping lines) of process ``pid`` on memfd ``inode``."""
+    links = 0
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links += os.stat(f"/proc/{pid}/fd/{fd}").st_ino == inode
+        except OSError:  # a link that is not a file, or gone since the listing
+            pass
+    with open(f"/proc/{pid}/maps") as f:
+        maps = sum(1 for line in f if line.split()[4] == str(inode))
+    return links, maps
+
+
+# writes a marker without flushing, then opens and closes a process
+# session whose trusted app prints a second marker when closed
+_STDIO_RUN = """
+import sys
+from teebench.boundary import initialize_context, register_ta
+
+@register_ta("stdio-closer")
+class Closer:
+    def on_close(self, env):
+        print("trusted-marker")
+
+sys.stdout.write("normal-marker\\n")
+ctx = initialize_context(transport="process")
+ctx.open_session("stdio-closer").close()
+ctx.finalize()
+"""
+
+
+class TestTrustedChild:
+    def test_child_holds_no_region_that_open_did_not_name(self):
+        ctx = initialize_context(transport="process")
+        region = ctx.allocate_shared_region(MIB, SharedMode.WHOLE)
+        inode = os.fstat(region._fd).st_ino
+        first = ctx.open_session("probe")
+        second = ctx.open_session("probe")
+        ctx.release_region(region)
+        try:
+            assert _memfd_holds(second._channel._pid, inode) == (0, 0)
+            assert _memfd_holds(first._channel._pid, inode) == (0, 0)
+        finally:
+            first.close()
+            second.close()
+            ctx.finalize()
+
+    def test_each_world_writes_its_output_once(self):
+        src = os.path.dirname(os.path.dirname(teebench.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        # stdout is a pipe, so both worlds buffer it by blocks
+        run = subprocess.run([sys.executable, "-c", _STDIO_RUN], env=env,
+                             stdout=subprocess.PIPE, text=True, timeout=30)
+        assert run.returncode == 0
+        lines = run.stdout.splitlines()
+        assert lines.count("normal-marker") == 1, run.stdout
+        assert lines.count("trusted-marker") == 1, run.stdout
 
 
 class TestNormalWorldDeath:

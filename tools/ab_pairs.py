@@ -12,8 +12,11 @@ quartiles and how many pairs the change won: a pair counts for the
 change when its value is better in the direction ``BENCHMARK.json``
 declares, and a tie counts for neither side. It also totals each
 side's failed and attempted operations and prints its share of failed
-ones. A run whose result line is missing or does not read ``correct:
-true`` is flagged.
+ones. Under the ratios it prints the bases they are made of: each
+side's quartiles of the run medians of the goodputs and of
+``server.receive_calls`` that each untraced run prints, so a ratio that
+moved because its denominator moved reads as such. A run whose result
+line is missing or does not read ``correct: true`` is flagged.
 """
 
 from __future__ import annotations
@@ -26,6 +29,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# series lines of an untraced run, "<name> <median> <unit> (<quartiles>)"
+BASES = ("goodput_MBps", "direct_goodput_MBps", "server.receive_calls")
+
+
+def parse_bases(stdout: str) -> dict[str, float]:
+    """The median each ``BASES`` line of a run's report gives."""
+    bases = {}
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] in BASES:
+            bases[fields[0]] = float(fields[1])
+    return bases
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -45,6 +60,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "metrics": {}, "error": tail}
     if proc.returncode != 0:
         result["correct"] = False
+    result["bases"] = parse_bases(proc.stdout)
     return result
 
 
@@ -62,15 +78,25 @@ def summarize(pairs: list[tuple[dict, dict]],
     change's wins and losses over the pairs, and the change of the
     median relative to the parent's. Under "ops", per side: its
     ``failed`` and ``attempted`` operations summed over all its runs.
+    Under "bases", per base a run carried: each side's (q1, median, q3)
+    over the runs that carried it, or None where none did.
 
     ``pairs`` holds (parent, change) result lines as ``bench/run.py``
     prints them; ``better`` maps each metric to "lower" or "higher".
     A pair in which either side lacks the metric is left out of it; a
     run without operation counts adds none.
     """
+    sides = ("parent", "change")
     ops = {side: {key: sum(pair[i].get(key, 0) for pair in pairs)
                   for key in ("failed", "attempted")}
-           for i, side in enumerate(("parent", "change"))}
+           for i, side in enumerate(sides)}
+    bases = {}
+    for name in BASES:
+        values = [[pair[i]["bases"][name] for pair in pairs
+                   if name in pair[i].get("bases", {})] for i in range(2)]
+        if any(values):
+            bases[name] = {side: _quartiles(v) if v else None
+                           for side, v in zip(sides, values)}
     out = {}
     for name, direction in better.items():
         both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -88,7 +114,7 @@ def summarize(pairs: list[tuple[dict, dict]],
             "wins": wins, "losses": losses,
             "median_delta": change[1] / parent[1] - 1 if parent[1] else None,
         }
-    return {"metrics": out, "ops": ops}
+    return {"metrics": out, "ops": ops, "bases": bases}
 
 
 def _seeds(text: str) -> list[int]:
@@ -134,6 +160,11 @@ def main(argv=None) -> int:
                  else "n/a")
         print(f"{name:<12} {p:>28} {c:>28} {delta:>8} "
               f"{s['wins']:>3}/{s['n']}")
+    print(f"{'base':<20} {'parent q1/med/q3':>28} {'change q1/med/q3':>28}")
+    for name, s in summary["bases"].items():
+        p, c = ("/".join(f"{v:.4g}" for v in q) if q else "n/a"
+                for q in (s["parent"], s["change"]))
+        print(f"{name:<20} {p:>28} {c:>28}")
     for side, n in summary["ops"].items():
         share = n["failed"] / n["attempted"] if n["attempted"] else 0.0
         print(f"{side} failed ops: {n['failed']} of {n['attempted']} "
