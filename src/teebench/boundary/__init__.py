@@ -18,7 +18,7 @@ from .errors import (
     TeeSocketError,
 )
 from .protocol import Command, IoctlCode, NOOP_COMMAND, TeeResult
-from .regions import Lifetime, RegionDescriptor, SharedRegion, TrustedRegionView
+from .regions import RegionDescriptor, SharedRegion, TrustedRegionView
 from .supplicant import DISCARD_HANDLE, Supplicant
 from .trusted import TeeSocket, TrustedEnv, register_ta
 
@@ -30,7 +30,6 @@ __all__ = [
     "DISCARD_HANDLE",
     "InvokeResult",
     "IoctlCode",
-    "Lifetime",
     "NOOP_COMMAND",
     "RegionAllocationError",
     "RegionDescriptor",

@@ -2,11 +2,19 @@
 
 A session talks to its trusted application over a channel. The
 "process" channel (the default) forks the application bare (``os.fork``)
-into its own process wired up with a control pipe plus shared memory;
-the child holds only the regions its OPEN names, and closing the session
-kills and reaps it. The "inline" channel calls the same
-``TrustedRuntime.dispatch`` in the calling process and exists for tests
-(``transport="inline"``).
+into its own process wired up with a control pipe plus shared memory,
+and closing the session kills and reaps it. The "inline" channel calls
+the same ``TrustedRuntime.dispatch`` in the calling process and exists
+for tests (``transport="inline"``).
+
+This is the one module that forks, so it alone decides what a forked
+child lets go of: a weak registry holds everything the normal world
+keeps for sessions (each allocated region, each session's scratch
+region and supplicant, each channel's pipe ends), and an at-fork hook
+calls ``release()`` on every entry in the child. The child thus holds
+only what its OPEN names, which it maps again through
+``/proc/<ppid>/fd``; no later child keeps an earlier session's relayed
+socket or pipe open.
 
 Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
@@ -31,6 +39,7 @@ import signal
 import sys
 import threading
 import traceback
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -62,6 +71,22 @@ from .supplicant import Supplicant
 from .trusted import TrustedRuntime
 
 REGION_CAP = 64 * MIB  # shared-region bytes one context may have outstanding
+
+# regions, supplicants and channels the normal world holds for sessions;
+# each has an idempotent release(), as a closed one stays here until collected
+_held = weakref.WeakSet()
+
+
+def _release_held() -> None:
+    """In a forked child, let go of everything the normal world holds."""
+    for item in list(_held):
+        try:
+            item.release()
+        except BufferError:  # a region a live window view pins: leave it mapped
+            pass
+
+
+os.register_at_fork(after_in_child=_release_held)
 
 
 @dataclass
@@ -139,6 +164,7 @@ class Context:
                 f"allocating {size} B would exceed the {REGION_CAP} B region cap"
             )
         region = SharedRegion(next(self._region_ids), size, mode, offset, length)
+        _held.add(region)
         self._regions[region.region_id] = region
         return region
 
@@ -193,6 +219,8 @@ class Session:
         scratch_id = next(ctx._region_ids)
         self._scratch = SharedRegion(scratch_id, TA_MEMORY_LIMIT, SharedMode.WHOLE)
         self._supplicant = Supplicant()
+        _held.add(self._scratch)
+        _held.add(self._supplicant)
         self._relay_regions = {scratch_id: self._scratch}  # all a relayed call may name
         self._channel = None
         with ctx._lock:
@@ -272,7 +300,7 @@ class Session:
             ctx._stats._add(self._stats)
         if self._channel is not None:
             self._channel.close()
-        self._supplicant.close_all()
+        self._supplicant.release()
         self._scratch.release()
 
 
@@ -289,11 +317,7 @@ def _flush_stdio() -> None:
             pass
 
 
-def _trusted_process_main(rfd: int, wfd: int, parent_fds: tuple[int, int]) -> None:
-    # held here, the parent's ends would keep the request pipe from EOF after it dies
-    for fd in parent_fds:
-        os.close(fd)
-
+def _trusted_process_main(rfd: int, wfd: int) -> None:
     def rpc(command, region_id, offset, length, handle, body) -> int:
         write_message(wfd, command, region_id, offset, length, handle, body)
         reply = read_message(rfd)
@@ -314,19 +338,22 @@ def _trusted_process_main(rfd: int, wfd: int, parent_fds: tuple[int, int]) -> No
 class _ProcessChannel:
     """The trusted runtime in a bare forked process behind two pipes.
 
-    The child holds only what OPEN names (the fork releases its copies of
-    the parent's regions); ``close`` kills and reaps it.
+    The parent's two pipe ends are registered before the fork, so every
+    child, this one included, closes them (held there, they would keep a
+    request pipe from EOF after the parent dies); ``close`` kills and
+    reaps the child.
     """
 
     def __init__(self, session: Session):
         self._serve = session._serve
-        to_child_r, to_child_w = os.pipe()
-        to_parent_r, to_parent_w = os.pipe()
+        to_child_r, self._wfd = os.pipe()
+        self._rfd, to_parent_w = os.pipe()
+        _held.add(self)
         _flush_stdio()  # else the child would write the parent's buffered output again
         self._pid = os.fork()
         if self._pid == 0:  # the child; it never returns from here
             try:
-                _trusted_process_main(to_child_r, to_parent_w, (to_child_w, to_parent_r))
+                _trusted_process_main(to_child_r, to_parent_w)
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
@@ -335,8 +362,6 @@ class _ProcessChannel:
                 os._exit(1)
         os.close(to_child_r)
         os.close(to_parent_w)
-        self._wfd = to_child_w
-        self._rfd = to_parent_r
 
     def exchange(self, command: int, body: bytes) -> tuple[int, bytes]:
         """Send one request, relaying the trusted side's calls until RETURN."""
@@ -351,9 +376,16 @@ class _ProcessChannel:
             pass
         raise BoundaryError("trusted process terminated unexpectedly")
 
+    def release(self) -> None:
+        """Close the parent's pipe ends; idempotent, so a stale fd number,
+        since reused, is never closed."""
+        for fd in (self._wfd, self._rfd):
+            if fd >= 0:
+                os.close(fd)
+        self._wfd = self._rfd = -1
+
     def close(self) -> None:
-        os.close(self._wfd)
-        os.close(self._rfd)
+        self.release()
         os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)
 

@@ -5,36 +5,21 @@ life and named in no filesystem, as OP-TEE's shared memory is owned by
 the kernel; the kernel frees it when the last holder exits, so a killed
 run leaves nothing behind. The trusted side maps ``/proc/<pid>/fd/<fd>``
 (Linux with procfs), so a released region, whose fd number may be
-reused, yields no descriptor. A forked child releases its copies of
-every region at the fork, so it holds only the regions it maps again
-that way. The owning (normal-world) side has unrestricted access to its
-own buffer; the trusted side only ever sees the access window, addressed
-window-relative, and loses access when the region is revoked (invocation
-return for temporary regions, session close for session-bound ones).
+reused, yields no descriptor. The owning (normal-world) side has
+unrestricted access to its own buffer; the trusted side only ever sees
+the access window, addressed window-relative, and loses access when the
+region is revoked (invocation return for temporary regions, session
+close for session-bound ones).
 """
 
 from __future__ import annotations
 
-import enum
 import mmap
 import os
-import weakref
 from dataclasses import dataclass
 
 from ..core import SharedMode
 from .errors import RegionAllocationError, RegionFault
-
-
-class Lifetime(enum.Enum):
-    SESSION_BOUND = "session"
-    INVOCATION_BOUND = "invocation"
-
-
-LIFETIME_FOR_MODE = {
-    SharedMode.WHOLE: Lifetime.SESSION_BOUND,
-    SharedMode.PARTIAL: Lifetime.SESSION_BOUND,
-    SharedMode.TEMPORARY: Lifetime.INVOCATION_BOUND,
-}
 
 
 @dataclass(frozen=True)
@@ -47,10 +32,6 @@ class RegionDescriptor:
     mode: SharedMode
     window_offset: int
     window_length: int
-
-    @property
-    def lifetime(self) -> Lifetime:
-        return LIFETIME_FOR_MODE[self.mode]
 
 
 def _check_window(size: int, mode: SharedMode, offset: int, length: int | None):
@@ -93,7 +74,6 @@ class SharedRegion:
         self.mode = mode
         self.window_offset = offset
         self.window_length = length
-        self.lifetime = LIFETIME_FOR_MODE[mode]
         self._fd = os.memfd_create("teebench-shm")
         try:
             os.ftruncate(self._fd, size)
@@ -104,7 +84,6 @@ class SharedRegion:
         self._path = f"/proc/{os.getpid()}/fd/{self._fd}"
         self._view = memoryview(self._map)  # window_view slices this
         self._released = False
-        _live_regions.add(self)
 
     @property
     def descriptor(self) -> RegionDescriptor:
@@ -171,21 +150,6 @@ class SharedRegion:
             pass
 
 
-_live_regions = weakref.WeakSet()  # every SharedRegion not yet collected
-
-
-def _release_inherited_regions() -> None:
-    """In a forked child, drop the copies of the parent's regions."""
-    for region in list(_live_regions):
-        try:
-            region.release()
-        except BufferError:  # a view of it is live: leave it mapped
-            pass
-
-
-os.register_at_fork(after_in_child=_release_inherited_regions)
-
-
 class TrustedRegionView:
     """Trusted-side view of a region: window-restricted and revocable.
 
@@ -216,7 +180,7 @@ class TrustedRegionView:
         if self._revoked:
             raise RegionFault(
                 f"region {self.descriptor.region_id} no longer shared "
-                f"({self.descriptor.lifetime.value} lifetime expired)"
+                f"({self.descriptor.mode.value} region revoked)"
             )
         _check_span(offset, length, self._window_length)
 

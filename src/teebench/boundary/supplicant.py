@@ -67,9 +67,6 @@ class OsSocket:
     def send(self, data) -> int:
         return self.raw.send(data)
 
-    def recv(self, max_bytes: int) -> bytes:
-        return self.raw.recv(max_bytes)
-
     def recv_into(self, buffer) -> int:
         return self.raw.recv_into(buffer)
 
@@ -176,7 +173,8 @@ class Supplicant:
         self._sockets[handle] = sock
         return handle
 
-    def close_all(self) -> None:
+    def release(self) -> None:
+        """Close every relayed socket; idempotent."""
         for sock in self._sockets.values():
             try:
                 sock.close()

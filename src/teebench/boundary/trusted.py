@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import Callable
 
 from .. import clock
-from ..core import TA_MEMORY_LIMIT, Protocol
+from ..core import TA_MEMORY_LIMIT, Protocol, SharedMode
 from .errors import RegionFault, TaMemoryError, TeeSocketError
 from .protocol import (
     CLOSE,
@@ -44,7 +44,7 @@ from .protocol import (
     unpack_invoke_body,
     unpack_open_body,
 )
-from .regions import Lifetime, RegionDescriptor, TrustedRegionView
+from .regions import RegionDescriptor, TrustedRegionView
 from .supplicant import DISCARD_HANDLE
 
 _TA_FACTORIES: dict[str, Callable[[], "object"]] = {}
@@ -230,7 +230,7 @@ class TrustedRuntime:
         return TeeResult.NOT_SUPPORTED, b""
 
     def _view_for(self, desc: RegionDescriptor) -> TrustedRegionView:
-        if desc.lifetime is Lifetime.INVOCATION_BOUND:
+        if desc.mode is SharedMode.TEMPORARY:
             return TrustedRegionView(desc)  # fresh mapping per invocation
         view = self._views.get(desc.region_id)
         if view is None or view.revoked:
@@ -260,7 +260,7 @@ class TrustedRuntime:
             return TeeResult.GENERIC, ()
         finally:
             for view in views:
-                if view.descriptor.lifetime is Lifetime.INVOCATION_BOUND:
+                if view.descriptor.mode is SharedMode.TEMPORARY:
                     view.revoke()
 
     def handle_open(self, ta_name: str, scratch_desc: RegionDescriptor,

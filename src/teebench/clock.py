@@ -46,10 +46,11 @@ def inject_delay(cost: float) -> None:
 
 def finish_schedule(t0: float, scheduled_end: float) -> tuple[float, bool]:
     """Wait out a paced schedule begun at ``t0``; return the elapsed time
-    and whether pacing underran: done later than 5% + 2 ms past the
-    scheduled span."""
+    and whether pacing underran: done more than 5% past the scheduled
+    span, with no absolute slack, which would hide the overrun of a short
+    schedule."""
     now = monotonic()
     if now < scheduled_end:
         now = wait_until(scheduled_end)
     elapsed = now - t0
-    return elapsed, elapsed > (scheduled_end - t0) * 1.05 + 0.002
+    return elapsed, elapsed > (scheduled_end - t0) * 1.05

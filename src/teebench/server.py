@@ -129,19 +129,22 @@ class BenchmarkServer:
 
     def start(self) -> "BenchmarkServer":
         cfg = self.cfg
-        if cfg.protocol is Protocol.TCP:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((cfg.bind, cfg.port))
-            sock.listen(16)
-            sock.settimeout(0.2)
-            runner = self._tcp_accept_loop
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
-            sock.bind((cfg.bind, cfg.port))
-            sock.settimeout(0.1)
-            runner = self._udp_loop
+        tcp = cfg.protocol is Protocol.TCP
+        sock = socket.socket(socket.AF_INET,
+                             socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM)
+        try:
+            if tcp:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind((cfg.bind, cfg.port))
+                sock.listen(16)
+            else:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
+                sock.bind((cfg.bind, cfg.port))
+        except OSError:
+            sock.close()
+            raise
+        sock.settimeout(0.2 if tcp else 0.1)
+        runner = self._tcp_accept_loop if tcp else self._udp_loop
         self._sock = sock
         self.port = sock.getsockname()[1]
         self._listener = threading.Thread(target=runner, args=(sock,), daemon=True)

@@ -180,6 +180,19 @@ class _ExitingTa:
         os._exit(3)
 
 
+@register_ta("test-holder")
+class _HolderTa:
+    """Opens a relayed TCP socket to the port command 1 names; command 2
+    closes it."""
+
+    def on_invoke(self, env, command, params):
+        if command == 1:
+            (port,) = params.values
+            self.sock = env.open_socket("127.0.0.1", port, Protocol.TCP)
+        else:
+            self.sock.close()
+
+
 @register_ta("test-odd-status")
 class _OddStatusTa:
     """Answers with a status outside ``TeeResult``: from ``on_open`` when
@@ -844,6 +857,23 @@ def _memfd_holds(pid: int, inode: int) -> tuple[int, int]:
     return links, maps
 
 
+def _fd_files(pid: int) -> set[tuple[int, int]]:
+    """(device, inode) of every file process ``pid`` has an fd on."""
+    files = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            st = os.stat(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # gone since the listing
+            continue
+        files.add((st.st_dev, st.st_ino))
+    return files
+
+
+def _file_id(fd: int) -> tuple[int, int]:
+    st = os.fstat(fd)
+    return st.st_dev, st.st_ino
+
+
 # writes a marker without flushing, then opens and closes a process
 # session whose trusted app prints a second marker when closed
 _STDIO_RUN = """
@@ -877,6 +907,41 @@ class TestTrustedChild:
             first.close()
             second.close()
             ctx.finalize()
+
+    def test_a_relayed_socket_closed_by_its_session_ends_while_a_later_one_is_open(
+            self):
+        ctx = initialize_context(transport="process")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            first = ctx.open_session("test-holder")
+            first.invoke(1, values=(listener.getsockname()[1],))
+            peer, _ = listener.accept()
+            second = ctx.open_session("probe")
+            try:
+                first.invoke(2)
+                peer.settimeout(1)
+                assert peer.recv(1) == b"", "the peer read no EOF"
+            finally:
+                peer.close()
+                first.close()
+                second.close()
+                ctx.finalize()
+
+    def test_child_holds_no_socket_or_pipe_of_an_earlier_session(self):
+        ctx = initialize_context(transport="process")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            first = ctx.open_session("test-holder")
+            first.invoke(1, values=(listener.getsockname()[1],))
+            listener.accept()[0].close()
+            relayed = first._supplicant._sockets[1].raw
+            held = {_file_id(fd) for fd in (relayed.fileno(), first._channel._wfd,
+                                             first._channel._rfd)}
+            second = ctx.open_session("probe")
+            try:
+                assert held.isdisjoint(_fd_files(second._channel._pid))
+            finally:
+                first.close()
+                second.close()
+                ctx.finalize()
 
     def test_each_world_writes_its_output_once(self):
         src = os.path.dirname(os.path.dirname(teebench.__file__))
@@ -946,7 +1011,7 @@ class TestSupplicantIoctl:
         # the kernel at least doubles the requested value for bookkeeping
         assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) >= 64 * KIB
         assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) >= 32 * KIB
-        supplicant.close_all()
+        supplicant.release()
 
     def test_set_peer_on_tcp_is_not_supported(self, tcp_server):
         supplicant = Supplicant()
@@ -965,7 +1030,7 @@ class TestSupplicantIoctl:
         import errno as errno_mod
 
         assert status == -errno_mod.EOPNOTSUPP
-        supplicant.close_all()
+        supplicant.release()
 
     def test_refused_ioctl_is_the_last_errno_also_after_close(self, tcp_server):
         from teebench.boundary.protocol import pack_sock_open_body
@@ -992,7 +1057,7 @@ class TestSupplicantIoctl:
         body = struct.pack("<BH", 7, 9) + b"127.0.0.1"
         status = supplicant.service(
             Message(Command.SOCK_OPEN, 0, 0, 0, 0, body), {})
-        supplicant.close_all()
+        supplicant.release()
         assert status == -errno.EINVAL
 
     def test_unknown_handle_is_ebadf(self):
@@ -1034,7 +1099,7 @@ class TestRelayErrorPrecedence:
         assert handle > 0
         region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
         yield supplicant, handle, region
-        supplicant.close_all()
+        supplicant.release()
         region.release()
 
     def test_send_on_an_unknown_handle_naming_an_unknown_region_is_ebadf(self):
@@ -1094,7 +1159,7 @@ class TestFaultingRecv:
         peer.shutdown(socket.SHUT_WR)  # a consumed payload reads as EOF
         region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
         yield supplicant, handle, region, payload
-        supplicant.close_all()
+        supplicant.release()
         region.release()
         peer.close()
         listener.close()

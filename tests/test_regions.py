@@ -1,11 +1,8 @@
 import pytest
 
 from teebench.boundary.errors import RegionAllocationError, RegionFault
-from teebench.boundary.regions import (
-    Lifetime,
-    SharedRegion,
-    TrustedRegionView,
-)
+from teebench.boundary.regions import SharedRegion, TrustedRegionView
+from teebench.boundary.trusted import TrustedRuntime
 from teebench.core import SharedMode
 
 KIB = 1024
@@ -29,7 +26,6 @@ class TestAllocation:
         assert region.size == 524288
         assert region.window_offset == 0
         assert region.window_length == 524288
-        assert region.lifetime is Lifetime.SESSION_BOUND
         region.release()
 
     def test_partial_offset_at_size_is_an_empty_window(self):
@@ -49,9 +45,15 @@ class TestAllocation:
             make_region(SharedMode.PARTIAL, size=KIB, offset=512, length=1024)
 
     def test_temporary_is_invocation_bound(self):
-        region = make_region(SharedMode.TEMPORARY, size=KIB)
-        assert region.lifetime is Lifetime.INVOCATION_BOUND
-        region.release()
+        temporary = make_region(SharedMode.TEMPORARY, size=KIB)
+        whole = make_region(SharedMode.WHOLE, size=KIB, region_id=2)
+        views = []
+        TrustedRuntime(rpc=None)._enter(
+            [temporary.descriptor, whole.descriptor], views.extend)
+        assert [view.revoked for view in views] == [True, False]
+        views[1].revoke()
+        temporary.release()
+        whole.release()
 
 
 class TestOwnerAccess:

@@ -73,8 +73,9 @@ def test_sigint_ends_the_cli_server_with_its_report(tmp_path):
          "--out", str(tmp_path)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
     lines = queue.Queue()
-    threading.Thread(target=lambda: [lines.put(line) for line in proc.stdout],
-                     daemon=True).start()
+    reader = threading.Thread(
+        target=lambda: [lines.put(line) for line in proc.stdout], daemon=True)
+    reader.start()
     try:
         assert "listening on port" in lines.get(timeout=20)
         send_tcp(port, b"s" * 4096)
@@ -84,6 +85,8 @@ def test_sigint_ends_the_cli_server_with_its_report(tmp_path):
     finally:
         proc.kill()
         proc.wait()
+        reader.join(timeout=5)
+        proc.stdout.close()
     report = json.loads(next(tmp_path.glob("server-*.json")).read_text())
     assert [f["bytes_received"] for f in report["flows"]] == [4096]
 
