@@ -27,9 +27,9 @@ cut short by EOF reads as EOF. The per-frame path is kept short because
 it runs twice per relayed call: ``write_message`` takes the header
 fields positionally, a frame without a body is packed without a
 concatenation, and ``read_message`` unpacks the header once and builds
-the ``Message`` straight from the unpacked tuple. The OPEN and INVOKE
-body codecs are precompiled ``struct.Struct`` objects, one per value
-count for the INVOKE values.
+the ``Message`` as the unpacked 5-tuple plus the body,
+``fields + (body,)``. The OPEN and INVOKE body codecs are precompiled
+``struct.Struct`` objects, one per value count for the INVOKE values.
 
 This module is the codec: every code that goes on the wire is decided
 here and nowhere else. The body codecs take and return the package's
@@ -109,6 +109,7 @@ class Message(NamedTuple):
 _pack_header = HEADER.pack
 _unpack_header = HEADER.unpack
 _new_tuple = tuple.__new__
+_NO_BODY = (b"",)
 
 
 def write_message(fd: int, command: int, region_id: int = 0, offset: int = 0,
@@ -150,15 +151,16 @@ def read_message(fd: int) -> Message | None:
         if rest is None:
             return None
         raw += rest
-    command, region_id, offset, length, status = _unpack_header(raw)
-    if region_id or not length:
-        return _new_tuple(Message, (command, region_id, offset, length, status, b""))
+    fields = _unpack_header(raw)
+    if fields[1] or not fields[3]:  # a region reference, or no body
+        return _new_tuple(Message, fields + _NO_BODY)
+    length = fields[3]
     if length > TA_MEMORY_LIMIT:
         raise BoundaryError(f"a {length} B frame body is over the cap")
     body = _read_exact(fd, length)
     if body is None:
         return None
-    return _new_tuple(Message, (command, region_id, offset, length, status, body))
+    return _new_tuple(Message, fields + (body,))
 
 
 # --- body packing helpers ------------------------------------------------

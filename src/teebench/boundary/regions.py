@@ -125,8 +125,11 @@ class SharedRegion:
         ``with`` block) before the region is released, or ``release()``
         raises ``BufferError``.
         """
-        _check_span(offset, length, self.window_length)
-        self._check_open()
+        # compared inline on the relay path; the helpers name the fault
+        if (offset < 0 or length < 0 or offset + length > self.window_length
+                or self._released):
+            _check_span(offset, length, self.window_length)
+            self._check_open()
         base = self.window_offset + offset
         return self._view[base:base + length]
 
@@ -194,6 +197,18 @@ class TrustedRegionView:
         self._check(offset, length)
         base = self._window_offset + offset
         self._map[base:base + length] = data
+
+    def stage(self, piece, n: int) -> None:
+        """Write ``piece``, exactly n bytes, at window offset 0.
+
+        The staging write of a relayed send: it faults as ``write(0,
+        piece)`` does, after revocation or when n is over the window, but
+        checks nothing further when the write is in bounds.
+        """
+        if self._revoked or n > self._window_length:
+            self._check(0, n)
+        base = self._window_offset
+        self._map[base:base + n] = piece
 
     def revoke(self) -> None:
         if not self._revoked:

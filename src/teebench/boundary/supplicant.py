@@ -118,7 +118,10 @@ class Supplicant:
                 # straight from the shared mapping; released before the
                 # return so the region can be unmapped (try/finally: a
                 # ``with`` costs three times as much per call here)
-                view = _window(regions, region_id).window_view(offset, length)
+                region = regions.get(region_id)
+                if region is None:
+                    return -errno.EFAULT
+                view = region.window_view(offset, length)
                 try:
                     return sock.send(view)
                 finally:

@@ -74,16 +74,24 @@ _OPEN = SocketState.OPEN
 class TeeSocket:
     """Trusted-side socket whose every operation is relayed outward.
 
-    Payloads are staged through the session scratch region; each relayed
-    call costs two world crossings. Operations on a CLOSED or ERROR
+    Payloads are staged through the session scratch region, which is
+    mapped before any application code runs and never replaced, so a
+    socket binds its staging method, region id, window length and the
+    relay port once. A send that fits the window is one staging write
+    and one relayed call, two world crossings; a larger one is relayed
+    one window-sized piece at a time. Operations on a CLOSED or ERROR
     socket fail deterministically without crossing the boundary.
     """
 
     def __init__(self, env: "TrustedEnv", handle: int, protocol: Protocol):
-        self._env = env
         self.handle = handle
         self.protocol = protocol
         self.state = SocketState.OPEN
+        scratch = self._scratch = env.scratch
+        self._stage = scratch.stage
+        self._region_id = scratch.descriptor.region_id
+        self._window = scratch.window_length
+        self._rpc = env.rpc
 
     def _check_usable(self):
         if self.state is not _OPEN:
@@ -98,20 +106,31 @@ class TeeSocket:
         return status
 
     def send(self, data) -> int:
-        self._check_usable()
-        view = memoryview(data).cast("B")  # the window is in bytes, not items
+        if self.state is not _OPEN:
+            self._check_usable()  # raises
+        n = memoryview(data).nbytes  # the window is in bytes, not items
+        if 0 < n <= self._window:
+            self._stage(data, n)
+            status = self._rpc(SOCK_SEND, self._region_id, 0, n, self.handle, b"")
+            if status < 0:
+                self._checked(status)  # raises
+            return status
+        if not n:
+            return 0
+        return self._send_pieces(data)
+
+    def _send_pieces(self, data) -> int:
+        """Relay a payload larger than the window one window-sized piece
+        at a time."""
+        view = memoryview(data).cast("B")
         total = len(view)
-        scratch = self._env.scratch
-        write = scratch.write
-        region_id = scratch.descriptor.region_id
-        window = scratch.window_length
-        rpc = self._env.rpc
-        handle = self.handle
+        stage, rpc, window = self._stage, self._rpc, self._window
+        region_id, handle = self._region_id, self.handle
         sent = 0
         while sent < total:
             piece = view[sent:sent + window]
             staged = len(piece)
-            write(0, piece)
+            stage(piece, staged)
             status = rpc(SOCK_SEND, region_id, 0, staged, handle, b"")
             if status < 0:
                 self._checked(status)  # raises
@@ -122,16 +141,15 @@ class TeeSocket:
 
     def recv(self, max_bytes: int) -> bytes:
         self._check_usable()
-        scratch = self._env.scratch
-        want = min(max_bytes, scratch.window_length)
-        status = self._checked(self._env.rpc(
-            SOCK_RECV, scratch.descriptor.region_id, 0, want, self.handle, b""))
-        return scratch.read(0, status)
+        want = min(max_bytes, self._window)
+        status = self._checked(self._rpc(
+            SOCK_RECV, self._region_id, 0, want, self.handle, b""))
+        return self._scratch.read(0, status)
 
     def ioctl(self, code: IoctlCode, arg) -> None:
         self._check_usable()
-        self._checked(self._env.rpc(SOCK_IOCTL, 0, 0, 0, self.handle,
-                                    pack_ioctl_body(code, arg)))
+        self._checked(self._rpc(SOCK_IOCTL, 0, 0, 0, self.handle,
+                                pack_ioctl_body(code, arg)))
 
     def error(self) -> int:
         """Last OS errno recorded for this socket by the supplicant.
@@ -139,12 +157,12 @@ class TeeSocket:
         Usable in any state; querying the error is the one operation a
         failed socket still supports.
         """
-        return self._env.rpc(SOCK_ERROR, 0, 0, 0, self.handle, b"")
+        return self._rpc(SOCK_ERROR, 0, 0, 0, self.handle, b"")
 
     def close(self) -> None:
         if self.state is SocketState.CLOSED:
             raise TeeSocketError(9, "socket already closed")
-        status = self._env.rpc(SOCK_CLOSE, 0, 0, 0, self.handle, b"")
+        status = self._rpc(SOCK_CLOSE, 0, 0, 0, self.handle, b"")
         self.state = SocketState.CLOSED
         if status < 0:
             raise TeeSocketError(-status)

@@ -122,6 +122,26 @@ class _WideSendTa:
         return TeeResult.SUCCESS, (sent,)
 
 
+@register_ta("test-small-send")
+class _SmallSendTa:
+    """Sends to the discard socket: command 1 an empty payload, command 2
+    100 four-byte items, less than the scratch window; reports the bytes
+    sent."""
+
+    payloads = {1: b"", 2: array("I", range(100))}
+
+    def on_invoke(self, env, command, params):
+        return TeeResult.SUCCESS, (env.discard_socket().send(self.payloads[command]),)
+
+
+@register_ta("test-int-send")
+class _IntSendTa:
+    """Passes an int, not a buffer, to a relayed send."""
+
+    def on_invoke(self, env, command, params):
+        env.discard_socket().send(1024)
+
+
 @register_ta("test-reader")
 class _ReaderTa:
     """Reads a TCP peer through the boundary until EOF, then the discard
@@ -669,6 +689,30 @@ class TestSocketFacade:
         assert (result.status, result.values) == (TeeResult.SUCCESS, (1_200_000,))
         assert stats.bytes_copied == 1_200_000
 
+    def test_an_empty_send_returns_0_without_crossing(self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-small-send")
+        before = ctx.stats
+        result = session.invoke(1)
+        after = ctx.stats
+        session.close()
+        ctx.finalize()
+        assert (result.status, result.values) == (TeeResult.SUCCESS, (0,))
+        # the invocation's own entry and return, and nothing relayed
+        assert after.crossings - before.crossings == 2
+        assert (after.rpc_count, after.bytes_copied) == (0, 0)
+
+    def test_items_under_one_window_are_one_relayed_call_of_their_bytes(
+            self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-small-send")
+        result = session.invoke(2)
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+        assert (result.status, result.values) == (TeeResult.SUCCESS, (400,))
+        assert (stats.rpc_count, stats.bytes_copied) == (1, 400)
+
     def test_recv_through_the_relay_reads_the_peer_to_eof(self, transport):
         payload = random.Random(5).randbytes(100_000)
         listener = socket.socket()
@@ -732,6 +776,20 @@ class TestFaultContainment:
         session.close()
         ctx.finalize()
         assert "ValueError: trusted app bug" in capfd.readouterr().err
+
+    def test_a_type_error_in_a_relay_body_is_generic(self, transport, capfd):
+        fds = len(os.listdir("/proc/self/fd"))
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-int-send")
+        assert session.invoke(1).status == TeeResult.GENERIC
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+        assert stats.rpc_count == 0
+        # the autouse fixture checks that no child is left behind
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert "TypeError: memoryview" in capfd.readouterr().err
 
     def test_unmapped_supplicant_exception_is_eio(
             self, transport, tcp_server, monkeypatch, capfd):

@@ -161,3 +161,51 @@ def test_revoked_view_faults_everywhere(partial_region):
     with pytest.raises(RegionFault):
         view.write(0, b"x")
     view.revoke()  # idempotent
+
+
+class TestStage:
+    def test_stage_writes_n_bytes_at_window_offset_0(self, partial_region):
+        view = TrustedRegionView(partial_region.descriptor)
+        view.stage(memoryview(b"staged"), 6)
+        assert partial_region.window_read(0, 6) == b"staged"
+        assert partial_region.read(0, partial_region.window_offset) == bytes(
+            partial_region.window_offset)
+        view.revoke()
+
+    def test_stage_after_revoke_is_the_fault_write_raises(self, partial_region):
+        view = TrustedRegionView(partial_region.descriptor)
+        view.revoke()
+        with pytest.raises(RegionFault, match="no longer shared") as staged:
+            view.stage(b"x", 1)
+        with pytest.raises(RegionFault) as written:
+            view.write(0, b"x")
+        assert str(staged.value) == str(written.value)
+
+    def test_stage_over_the_window_faults_and_writes_nothing(self, partial_region):
+        view = TrustedRegionView(partial_region.descriptor)
+        n = view.window_length + 1
+        with pytest.raises(RegionFault, match="outside") as staged:
+            view.stage(b"\xab" * n, n)
+        with pytest.raises(RegionFault) as written:
+            view.write(0, b"\xab" * n)
+        assert str(staged.value) == str(written.value)
+        assert partial_region.read(0, partial_region.size) == bytes(
+            partial_region.size)
+        view.revoke()
+
+    def test_a_send_after_revoke_all_faults_before_it_relays(self):
+        region = make_region(SharedMode.WHOLE)
+        calls = []
+
+        def rpc(*fields):
+            calls.append(fields)
+            return fields[3]
+
+        runtime = TrustedRuntime(rpc)
+        runtime.env.scratch = TrustedRegionView(region.descriptor)
+        sock = runtime.env.discard_socket()
+        runtime._revoke_all()
+        with pytest.raises(RegionFault):
+            sock.send(b"x" * KIB)
+        assert calls == []
+        region.release()
