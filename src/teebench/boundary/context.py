@@ -2,10 +2,12 @@
 
 A session talks to its trusted application over a channel. The
 "process" channel (the default) forks the application bare (``os.fork``)
-into its own process wired up with a control pipe plus shared memory,
-and closing the session kills and reaps it. The "inline" channel calls
-the same ``TrustedRuntime.dispatch`` in the calling process and exists
-for tests (``transport="inline"``).
+into its own process wired up with a control pipe plus shared memory.
+That process answers every request alike, and only the normal world
+ends it: closing the session kills and reaps it, and if the normal
+world dies the pipe's EOF ends it. The "inline" channel calls the same
+``TrustedRuntime.dispatch`` in the calling process and exists for tests
+(``transport="inline"``).
 
 This is the one module that forks, so it alone decides what a forked
 child lets go of: a weak registry holds everything the normal world
@@ -328,10 +330,7 @@ def _trusted_process_main(rfd: int, wfd: int) -> None:
     runtime = TrustedRuntime(rpc)
     while (msg := read_message(rfd)) is not None:
         status, body = runtime.dispatch(msg.command, msg.body)
-        if msg.command == CLOSE or (msg.command == OPEN and status != TeeResult.SUCCESS):
-            _flush_stdio()  # the parent kills this process once it has this RETURN
-            write_message(wfd, RETURN, status=status, body=body)
-            return
+        _flush_stdio()  # the parent may kill this process once it has this RETURN
         write_message(wfd, RETURN, status=status, body=body)
 
 

@@ -10,10 +10,10 @@ as on OP-TEE. A recv lands in such a view, taken before the socket is
 read, so a recv whose span faults consumes nothing. The supplicant
 keeps each handle's last OS errno, which SOCK_ERROR answers, also after
 SOCK_CLOSE; a failure that is not an OS error, a fault or a malformed
-request is EIO, so the relay stays in step. Handle 0 is a built-in
-always-open discard sink that swallows sends (after reading them out of
-shared memory) and returns EOF on recv, used by scripted
-crossing-accounting runs.
+request is EIO, so the relay stays in step. Handle 0 is an entry of the
+same handle table, an always-open discard sink used by scripted
+crossing-accounting runs: it answers like any socket, copying each send
+out of shared memory and dropping it and answering recv with EOF.
 
 ``OsSocket`` is the one OS-socket surface of the package: the supplicant
 maps each handle to one, and native (direct) runs use it as is.
@@ -86,68 +86,67 @@ class OsSocket:
         self.raw.close()
 
 
-def _window(regions, region_id: int):
-    region = regions.get(region_id)
-    if region is None:
-        raise RegionFault(f"region {region_id} is not shared with this session")
-    return region
+class _DiscardSink:
+    """Handle 0: ``OsSocket``'s surface over a sink that copies each send
+    out of shared memory, then drops it, and reads EOF."""
+
+    def send(self, data) -> int:
+        return len(bytes(data))
+
+    def recv_into(self, buffer) -> int:
+        return 0
+
+    def ioctl(self, code: IoctlCode, arg) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 class Supplicant:
     def __init__(self):
-        self._sockets: dict[int, OsSocket] = {}
+        self._sockets: dict[int, OsSocket] = {DISCARD_HANDLE: _DiscardSink()}
         self._errnos: dict[int, int] = {}  # last OS errno per handle, kept after close
         self._next_handle = 1
 
     def service(self, msg: Message, regions) -> int:
         """Execute one relayed call and return its status.
 
-        ``regions`` maps region_id to an object with window_view,
-        window_read and window_write. Status is >= 0 on success (handle or
-        byte count) and -errno on failure: the OS errno verbatim, EBADF for
-        an unknown handle, EFAULT for a region id or window the session
-        does not share, EINVAL for a request body that does not decode or
-        apply and EIO for any other failure, whose traceback goes to
-        stderr. An OS errno is also kept as the handle's last error, which
-        SOCK_ERROR answers.
+        ``regions`` maps region_id to an object with ``window_view``.
+        Every handle in the table, the discard sink (handle 0) included,
+        answers alike. Status is >= 0 on success (handle or byte count)
+        and -errno on failure: the OS errno verbatim, EBADF for an unknown
+        handle, EFAULT for a region id or window the session does not
+        share, EINVAL for an unknown command or a request body that does
+        not decode or apply and EIO for any other failure, whose traceback
+        goes to stderr. An OS errno is also kept as the handle's last
+        error, which SOCK_ERROR answers.
         """
         cmd, region_id, offset, length, handle, body = msg
         sock = self._sockets.get(handle)
         try:
-            if cmd == SOCK_SEND and sock is not None:
-                # straight from the shared mapping; released before the
-                # return so the region can be unmapped (try/finally: a
-                # ``with`` costs three times as much per call here)
+            if sock is not None and (cmd == SOCK_SEND or cmd == SOCK_RECV):
+                # straight from or into the shared mapping, the window
+                # checked first so a fault takes nothing from the socket;
+                # released before the return so the region can be unmapped
+                # (try/finally: a ``with`` costs three times as much here)
                 region = regions.get(region_id)
                 if region is None:
                     return -errno.EFAULT
                 view = region.window_view(offset, length)
                 try:
-                    return sock.send(view)
+                    return sock.send(view) if cmd == SOCK_SEND else sock.recv_into(view)
                 finally:
                     view.release()
             if cmd == SOCK_ERROR:
                 return self._errnos.get(handle, 0)
             if cmd == SOCK_OPEN:
                 return self._open(body)
-            if handle == DISCARD_HANDLE:
-                if cmd == SOCK_SEND:
-                    # the copy out of shared memory still happens; bytes then vanish
-                    _window(regions, region_id).window_read(offset, length)
-                    return length
-                return 0
             if sock is None:
                 return -errno.EBADF
-            if cmd == SOCK_RECV:
-                # the window check comes first, so a fault takes nothing
-                # from the socket; then straight into the shared mapping
-                view = _window(regions, region_id).window_view(offset, length)
-                try:
-                    return sock.recv_into(view)
-                finally:
-                    view.release()
             if cmd == SOCK_CLOSE:
-                del self._sockets[handle]
+                if handle != DISCARD_HANDLE:  # the sink stays open
+                    del self._sockets[handle]
                 sock.close()
                 return 0
             if cmd == SOCK_IOCTL:

@@ -78,9 +78,10 @@ class TeeSocket:
     mapped before any application code runs and never replaced, so a
     socket binds its staging method, region id, window length and the
     relay port once. A send that fits the window is one staging write
-    and one relayed call, two world crossings; a larger one is relayed
-    one window-sized piece at a time. Operations on a CLOSED or ERROR
-    socket fail deterministically without crossing the boundary.
+    and one relayed call, two world crossings; a larger one is a run of
+    such one-window sends, one window-sized piece each. Operations on a
+    CLOSED or ERROR socket fail deterministically without crossing the
+    boundary.
     """
 
     def __init__(self, env: "TrustedEnv", handle: int, protocol: Protocol):
@@ -120,22 +121,15 @@ class TeeSocket:
         return self._send_pieces(data)
 
     def _send_pieces(self, data) -> int:
-        """Relay a payload larger than the window one window-sized piece
-        at a time."""
+        """Relay a payload larger than the window as a run of one-window
+        sends."""
         view = memoryview(data).cast("B")
-        total = len(view)
-        stage, rpc, window = self._stage, self._rpc, self._window
-        region_id, handle = self._region_id, self.handle
-        sent = 0
+        total, window, sent = len(view), self._window, 0
         while sent < total:
             piece = view[sent:sent + window]
-            staged = len(piece)
-            stage(piece, staged)
-            status = rpc(SOCK_SEND, region_id, 0, staged, handle, b"")
-            if status < 0:
-                self._checked(status)  # raises
+            status = self.send(piece)
             sent += status
-            if status < staged:
+            if status < len(piece):
                 break  # transport accepted less than staged; report actual
         return sent
 

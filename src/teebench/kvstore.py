@@ -47,7 +47,7 @@ class KvStore:
         self._count += 1
 
     def get(self, key: int) -> bytes | None:
-        """Copy the value out, or None when the key is absent."""
+        """The stored bytes object itself (no copy), or None if absent."""
         for k, v in self._buckets[bucket_of(key)]:
             if k == key:
                 return v

@@ -159,6 +159,27 @@ class _ReaderTa:
                                    len(discard))
 
 
+@register_ta("test-closed-socket")
+class _ClosedSocketTa:
+    """Opens a relayed TCP socket and closes it, then tries send, recv,
+    ioctl and close on it; reports each refusal's errno and error()."""
+
+    def on_invoke(self, env, command, params):
+        (port,) = params.values
+        sock = env.open_socket("127.0.0.1", port, Protocol.TCP)
+        sock.close()
+        refusals = []
+        for op in (lambda: sock.send(b"x"), lambda: sock.recv(16),
+                   lambda: sock.ioctl(IoctlCode.SET_BUF_SIZES, (KIB, KIB)),
+                   sock.close):
+            try:
+                op()
+                refusals.append(0)
+            except TeeSocketError as exc:
+                refusals.append(exc.errno)
+        return TeeResult.SUCCESS, (*refusals, sock.error())
+
+
 @register_ta("test-open-oom")
 class _OpenOomTa:
     def on_open(self, env, regions):
@@ -273,6 +294,16 @@ class TestContextLifecycle:
         with pytest.raises(SessionStateError):
             session.close()
         ctx.finalize()
+
+    def test_an_unknown_transport_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            initialize_context(transport="bogus")
+
+    def test_finalize_twice_errors(self):
+        ctx = initialize_context(transport="inline")
+        ctx.finalize()
+        with pytest.raises(SessionStateError, match="context already finalized"):
+            ctx.finalize()
 
     def test_invoke_after_close_errors(self, transport):
         ctx = initialize_context(transport=transport)
@@ -649,6 +680,17 @@ class TestSocketFacade:
         import errno as errno_mod
 
         assert result.values == (errno_mod.ECONNREFUSED,)
+        session.close()
+        ctx.finalize()
+
+    def test_a_closed_socket_refuses_all_but_error_without_crossing(
+            self, tcp_server, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-closed-socket")
+        result = session.invoke(1, values=(tcp_server.port,))
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (errno.EBADF,) * 4 + (0,)
+        assert ctx.stats.rpc_count == 3  # open, close, error
         session.close()
         ctx.finalize()
 
@@ -1192,6 +1234,40 @@ class TestRelayErrorPrecedence:
         assert supplicant.service(past_end, regions) == -errno.EFAULT
         last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
         assert supplicant.service(last_error, regions) == errno.EOPNOTSUPP
+
+    def test_discard_recv_the_session_does_not_share_is_efault(self):
+        supplicant = Supplicant()
+        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        try:
+            unknown = Message(Command.SOCK_RECV, 999, 0, 16, DISCARD_HANDLE)
+            assert supplicant.service(unknown, {}) == -errno.EFAULT
+            past_end = Message(Command.SOCK_RECV, region.region_id,
+                               4 * KIB - 8, 16, DISCARD_HANDLE)
+            assert supplicant.service(
+                past_end, {region.region_id: region}) == -errno.EFAULT
+        finally:
+            region.release()
+
+    def test_discard_ioctl_whose_body_does_not_decode_is_einval(self):
+        status = Supplicant().service(
+            Message(Command.SOCK_IOCTL, 0, 0, 0, DISCARD_HANDLE, b"\x01"), {})
+        assert status == -errno.EINVAL
+
+    def test_an_unknown_command_is_einval_on_the_sink_and_a_live_handle(self, live):
+        supplicant, handle, _ = live
+        for target in (DISCARD_HANDLE, handle):
+            assert supplicant.service(Message(99, 0, 0, 0, target), {}) == -errno.EINVAL
+
+    def test_closing_the_sink_answers_0_and_leaves_it_open(self):
+        supplicant = Supplicant()
+        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        try:
+            close = Message(Command.SOCK_CLOSE, 0, 0, 0, DISCARD_HANDLE)
+            assert supplicant.service(close, {}) == 0
+            send = Message(Command.SOCK_SEND, region.region_id, 0, 16, DISCARD_HANDLE)
+            assert supplicant.service(send, {region.region_id: region}) == 16
+        finally:
+            region.release()
 
 
 class TestFaultingRecv:

@@ -144,6 +144,15 @@ class TestBoundarySeries:
         assert [r.misses for r in direct.records] == \
             [r.misses for r in bound.records]
 
+    def test_del_through_the_boundary_agrees_with_direct(self, transport):
+        kwargs = dict(prepopulate=True, rates=(4096,), seed=9)
+        direct = run_kv_bench(Workload.DEL, **kwargs)
+        bound = run_kv_bench(Workload.DEL, execution=Execution.BOUNDARY,
+                             transport=transport, **kwargs)
+        assert (bound.records[0].ops, bound.records[0].misses) == (256, 0)
+        assert [r.misses for r in bound.records] == \
+            [r.misses for r in direct.records]
+
 
 def test_constants_follow_the_memory_benchmark_geometry():
     assert REGION_SIZE == 512 * 1024
