@@ -136,6 +136,14 @@ class TouchOp(enum.IntEnum):
     WRITE = 1
 
 
+def _touch(view, op: int, offset: int, length: int) -> None:
+    """Read, or fill with 0xab, ``length`` bytes of ``view`` at ``offset``."""
+    if op == TouchOp.READ:
+        view.read(offset, length)
+    else:
+        view.write(offset, b"\xab" * length)
+
+
 @register_ta("probe")
 class ProbeTa:
     """Test affordances: scripted relayed sends against the discard sink,
@@ -170,12 +178,7 @@ class ProbeTa:
             return TeeResult.SUCCESS
 
         if command == ProbeCommand.TOUCH:
-            op, offset, length = params.values
-            view = params.regions[0]
-            if op == TouchOp.READ:
-                view.read(offset, length)
-            else:
-                view.write(offset, b"\xab" * length)
+            _touch(params.regions[0], *params.values)
             return TeeResult.SUCCESS
 
         if command == ProbeCommand.STASH:
@@ -185,11 +188,7 @@ class ProbeTa:
         if command == ProbeCommand.TOUCH_STASHED:
             if self._stashed is None:
                 return TeeResult.BAD_STATE
-            op, offset, length = params.values
-            if op == TouchOp.READ:
-                self._stashed.read(offset, length)
-            else:
-                self._stashed.write(offset, b"\xab" * length)
+            _touch(self._stashed, *params.values)
             return TeeResult.SUCCESS
 
         if command == ProbeCommand.SOCKET_SMOKE:

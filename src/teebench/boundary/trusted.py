@@ -135,6 +135,8 @@ class TeeSocket:
 
     def recv(self, max_bytes: int) -> bytes:
         self._check_usable()
+        if max_bytes < 0:  # refused before crossing, as socket.recv does
+            raise ValueError("negative buffersize in recv")
         want = min(max_bytes, self._window)
         status = self._checked(self._rpc(
             SOCK_RECV, self._region_id, 0, want, self.handle, b""))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .core import (
     derive_throughput,
     validate_config,
 )
-from .energy import TraceFormat, ingest_trace, integrate_energy
+from .energy import EnergyReport, TraceFormat, ingest_trace, integrate_energy
 from .kvbench import Workload, run_kv_bench
 from .runner import run_client
 from .server import BenchmarkServer, ServerConfig
@@ -142,6 +143,8 @@ def parse_args(argv) -> ParsedInvocation:
     role = roles[0]
     if ns.power_trace is not None and role not in ("client", "energy"):
         parser.error("--power-trace applies to client runs or standalone use")
+    if not math.isfinite(ns.power_offset):
+        parser.error("--power-offset must be finite")
 
     if ns.bitrate is not None and ns.total_bytes is not None:
         parser.error("conflicting stop conditions: --bitrate and --bytes")
@@ -298,16 +301,22 @@ def _base_payload(inv: ParsedInvocation, started: float) -> dict:
     }
 
 
-def _attach_energy(payload: dict, inv: ParsedInvocation, stream) -> None:
+def _trace_energy(inv: ParsedInvocation, t_start=None, t_end=None) -> EnergyReport:
+    """Energy from the invocation's power trace over [t_start, t_end] on
+    the host clock; the window defaults to the trace's own span."""
+    samples = ingest_trace(inv.power_trace, inv.power_format)
+    return integrate_energy(
+        samples,
+        samples[0].timestamp if t_start is None else t_start + inv.power_offset,
+        samples[-1].timestamp if t_end is None else t_end + inv.power_offset,
+    )
+
+
+def _attach_energy(payload: dict, inv: ParsedInvocation) -> None:
     if inv.power_trace is None:
         return
     try:
-        samples = ingest_trace(inv.power_trace, inv.power_format)
-        report = integrate_energy(
-            samples,
-            payload["started_at"] + inv.power_offset,
-            payload["ended_at"] + inv.power_offset,
-        )
+        report = _trace_energy(inv, payload["started_at"], payload["ended_at"])
         payload["energy"] = report.to_dict()
     except (OSError, ValueError) as exc:
         print(f"energy integration failed: {exc}", file=sys.stderr)
@@ -329,7 +338,7 @@ def _run_client_role(inv: ParsedInvocation, stream) -> dict:
         payload["throughput_bps"] = derive_throughput(metrics)
     if result.boundary_stats is not None:
         payload["boundary_stats"] = result.boundary_stats.to_dict()
-    _attach_energy(payload, inv, stream)
+    _attach_energy(payload, inv)
 
     mbit = payload.get("throughput_bps", 0.0) / 1e6
     line = (f"sent {metrics.bytes_transferred} B in {metrics.total_runtime:.3f} s "
@@ -395,10 +404,7 @@ def _run_kvbench_role(inv: ParsedInvocation, stream) -> dict:
 
 def _run_energy_role(inv: ParsedInvocation, stream) -> dict:
     started = time.time()
-    samples = ingest_trace(inv.power_trace, inv.power_format)
-    report = integrate_energy(
-        samples, samples[0].timestamp, samples[-1].timestamp
-    )
+    report = _trace_energy(inv)
     payload = _base_payload(inv, started)
     payload["ended_at"] = time.time()
     payload["energy"] = report.to_dict()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 KIB = 1024
@@ -178,13 +179,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if cfg.mode is Mode.CONSTANT_RATE:
         if bitrate is None:
             errors.append(("bitrate", "required for constant-rate mode"))
-        elif bitrate <= 0:
-            errors.append(("bitrate", "must be > 0"))
+        elif not 0 < bitrate < math.inf:
+            errors.append(("bitrate", "must be finite and > 0"))
         # constant-rate runs are bounded by a duration as well
         if duration is None:
             duration = DEFAULT_DURATION
-        if duration <= 0:
-            errors.append(("duration", "must be > 0"))
+        if not 0 < duration < math.inf:
+            errors.append(("duration", "must be finite and > 0"))
         total_bytes = None
     elif cfg.mode is Mode.FIXED_BYTES:
         if total_bytes is None:
@@ -196,8 +197,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     elif cfg.mode is Mode.FIXED_DURATION:
         if duration is None:
             errors.append(("duration", "required for fixed-duration mode"))
-        elif duration <= 0:
-            errors.append(("duration", "must be > 0"))
+        elif not 0 < duration < math.inf:
+            errors.append(("duration", "must be finite and > 0"))
         bitrate = None
         total_bytes = None
     else:
@@ -215,8 +216,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         errors.append(("host", "must be non-empty"))
     if not 1 <= cfg.port <= 65535:
         errors.append(("port", "must be in 1..65535"))
-    if cfg.switch_cost < 0:
-        errors.append(("switch_cost", "must be >= 0"))
+    if not 0 <= cfg.switch_cost < math.inf:
+        errors.append(("switch_cost", "must be finite and >= 0"))
     if not 0 <= cfg.rng_seed < 2**64:
         errors.append(("rng_seed", "must fit in 64 bits"))
 

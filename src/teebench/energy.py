@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
-import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -56,25 +56,24 @@ class EnergyReport:
         }
 
 
-_COLUMNS = {TraceFormat.PDU_CSV: 2, TraceFormat.POWERSPY_CSV: 4}
-_WATTS_COLUMN = {TraceFormat.PDU_CSV: 1, TraceFormat.POWERSPY_CSV: 3}
+# format -> (column count, watts column)
+_LAYOUT = {TraceFormat.PDU_CSV: (2, 1), TraceFormat.POWERSPY_CSV: (4, 3)}
 
 
 def ingest_trace(source, fmt: TraceFormat) -> list[PowerSample]:
     """Parse a meter trace into samples sorted by timestamp.
 
     ``source`` is a path or an open text file. Rows sharing a timestamp
-    are collapsed into one sample with their mean power. Malformed rows
-    raise TraceError naming the line; an empty trace is an error too.
+    are collapsed into one sample with their mean power. Malformed rows,
+    including a NaN or infinite timestamp or power, raise TraceError
+    naming the line; an empty trace is an error too.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:
             return ingest_trace(fh, fmt)
-    assert isinstance(source, io.TextIOBase) or hasattr(source, "read")
 
-    want = _COLUMNS[fmt]
-    wcol = _WATTS_COLUMN[fmt]
-    raw: list[tuple[float, float]] = []
+    want, wcol = _LAYOUT[fmt]
+    by_time: dict[float, list[float]] = {}
     for lineno, row in enumerate(csv.reader(source), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -87,24 +86,17 @@ def ingest_trace(source, fmt: TraceFormat) -> list[PowerSample]:
             power = float(row[wcol])
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(ts) and math.isfinite(power)):
+            raise TraceError(f"line {lineno}: non-finite timestamp or power "
+                             f"({ts}, {power})")
         if power < 0:
             raise TraceError(f"line {lineno}: negative power {power}")
-        raw.append((ts, power))
+        by_time.setdefault(ts, []).append(power)
 
-    if not raw:
+    if not by_time:
         raise TraceError("trace contains no samples")
-
-    raw.sort(key=lambda tp: tp[0])
-    samples: list[PowerSample] = []
-    i = 0
-    while i < len(raw):
-        j = i
-        while j < len(raw) and raw[j][0] == raw[i][0]:
-            j += 1
-        mean = sum(p for _, p in raw[i:j]) / (j - i)
-        samples.append(PowerSample(raw[i][0], mean))
-        i = j
-    return samples
+    return [PowerSample(ts, sum(powers) / len(powers))
+            for ts, powers in sorted(by_time.items())]
 
 
 def _power_at(times: Sequence[float], powers: Sequence[float], t: float) -> float:
@@ -122,13 +114,16 @@ def integrate_energy(
 ) -> EnergyReport:
     """Trapezoidal energy over [t_start, t_end].
 
-    The window must lie within the trace span; power at the window edges
-    is linearly interpolated from the bracketing samples. Energy is the
-    sum over consecutive in-window points of (dt)(p_i + p_{i+1}) / 2.
+    The window must be finite and lie within the trace span; power at the
+    window edges is linearly interpolated from the bracketing samples.
+    Energy is the sum over consecutive in-window points of
+    (dt)(p_i + p_{i+1}) / 2.
     """
     pts = sorted(samples, key=lambda s: s.timestamp)
     if len(pts) < 2:
         raise IntegrationError("insufficient samples: need at least 2")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise IntegrationError(f"window [{t_start}, {t_end}] is not finite")
     if t_end <= t_start:
         raise IntegrationError("window must satisfy t_start < t_end")
     times = [s.timestamp for s in pts]

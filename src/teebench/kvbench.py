@@ -128,6 +128,11 @@ class _DirectKvRunner:
         pass
 
 
+# op kind -> (command, how many of (key, offset, length) it takes)
+_KV_REQUESTS = {"put": (KvCommand.PUT, 3), "get": (KvCommand.GET, 2),
+                "del": (KvCommand.DEL, 1)}
+
+
 class _BoundaryKvRunner:
     """The store as a trusted application reached through the boundary."""
 
@@ -144,20 +149,11 @@ class _BoundaryKvRunner:
             self._invoke_regions = ()
 
     def op(self, kind: str, key: int) -> bool:
-        offset = key * OP_CHUNK
-        if kind == "put":
-            result = self.session.invoke(
-                KvCommand.PUT, regions=self._invoke_regions,
-                values=(key, offset, OP_CHUNK),
-            )
-        elif kind == "get":
-            result = self.session.invoke(
-                KvCommand.GET, regions=self._invoke_regions, values=(key, offset)
-            )
-        else:
-            result = self.session.invoke(
-                KvCommand.DEL, regions=self._invoke_regions, values=(key,)
-            )
+        command, arity = _KV_REQUESTS[kind]
+        result = self.session.invoke(
+            command, regions=self._invoke_regions,
+            values=(key, key * OP_CHUNK, OP_CHUNK)[:arity],
+        )
         if result.status == TeeResult.SUCCESS:
             return True
         if result.status == TeeResult.NOT_FOUND:

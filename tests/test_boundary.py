@@ -159,6 +159,21 @@ class _ReaderTa:
                                    len(discard))
 
 
+@register_ta("test-negative-recv")
+class _NegativeRecvTa:
+    """Calls recv(-1) on the discard socket; reports 1 for a ValueError,
+    2 for any other exception and 0 when nothing was raised."""
+
+    def on_invoke(self, env, command, params):
+        try:
+            env.discard_socket().recv(-1)
+        except ValueError:
+            return TeeResult.SUCCESS, (1,)
+        except Exception:
+            return TeeResult.SUCCESS, (2,)
+        return TeeResult.SUCCESS, (0,)
+
+
 @register_ta("test-closed-socket")
 class _ClosedSocketTa:
     """Opens a relayed TCP socket and closes it, then tries send, recv,
@@ -691,6 +706,16 @@ class TestSocketFacade:
         assert result.status == TeeResult.SUCCESS
         assert result.values == (errno.EBADF,) * 4 + (0,)
         assert ctx.stats.rpc_count == 3  # open, close, error
+        session.close()
+        ctx.finalize()
+
+    def test_negative_recv_is_a_value_error_before_crossing(self, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-negative-recv")
+        result = session.invoke(1)
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (1,)
+        assert ctx.stats.rpc_count == 0
         session.close()
         ctx.finalize()
 

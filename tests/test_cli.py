@@ -110,6 +110,21 @@ class TestParse:
         with pytest.raises(SystemExit):
             parse_args(["--client", "h", "--port", "70000"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--kv", "put", "--exec", "boundary", "--switch-cost", "nan"],
+        ["--kv", "put", "--switch-cost", "inf"],
+        ["--client", "h", "--time", "nan"],
+        ["--client", "h", "--bitrate", "inf"],
+        ["--power-trace", "m.csv", "--power-offset", "nan"],
+        ["--power-trace", "m.csv", "--power-offset=-inf"],
+    ], ids=["switch-cost-nan", "switch-cost-inf", "time-nan", "bitrate-inf",
+            "power-offset-nan", "power-offset-minus-inf"])
+    def test_non_finite_setting_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_udp_server_caps_the_receive_buffer_at_one_datagram(self):
         inv = parse_args(["--server", "--udp"])
         assert inv.config.chunk_size == 65507
@@ -278,6 +293,17 @@ class TestMainRoles:
         stdout = capsys.readouterr().out
         report = json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
         assert report["energy"]["energy_joules"] == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("rows", ["0,5\nnan,5\n2,5\n", "0,5\n1,nan\n",
+                                      "0,5\ninf,5\n"],
+                             ids=["nan-timestamp", "nan-power", "inf-timestamp"])
+    def test_energy_role_refuses_a_non_finite_row(self, tmp_path, capsys, rows):
+        trace = tmp_path / "meter.csv"
+        trace.write_text(rows)
+        rc = main(["--power-trace", str(trace), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "line 2: non-finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("energy-*.json"))
 
     def test_client_with_power_trace_embeds_energy(self, tcp_server, tmp_path):
         now = time.time()

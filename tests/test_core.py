@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +107,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert exc.value.errors[0][0] == "chunk_size"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode, field", [
+        (Mode.CONSTANT_RATE, "bitrate"), (Mode.CONSTANT_RATE, "duration"),
+        (Mode.FIXED_DURATION, "duration"), (Mode.FIXED_DURATION, "switch_cost")])
+    def test_non_finite_settings_rejected(self, mode, field, value):
+        cfg = RunConfig(mode=mode, **{"bitrate": 1e6, field: value})
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert [name for name, _ in exc.value.errors] == [field]
 
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ConfigError):

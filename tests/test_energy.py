@@ -46,6 +46,13 @@ class TestIngest:
         with pytest.raises(TraceError, match="line 1"):
             ingest_trace(trace("1.0,-3\n"), TraceFormat.PDU_CSV)
 
+    @pytest.mark.parametrize("rows", ["1.0,4\nnan,5\n3.0,6\n", "1.0,4\n2.0,nan\n",
+                                      "1.0,4\ninf,5\n"],
+                             ids=["nan-timestamp", "nan-power", "inf-timestamp"])
+    def test_non_finite_row_names_the_line(self, rows):
+        with pytest.raises(TraceError, match="line 2: non-finite"):
+            ingest_trace(trace(rows), TraceFormat.PDU_CSV)
+
     def test_powerspy_uses_the_watts_column(self):
         samples = ingest_trace(
             trace("10.5,230.1,0.02,4.6\n11.5,230.0,0.02,4.7\n"),
@@ -111,6 +118,12 @@ class TestIntegrate:
     def test_insufficient_samples(self):
         with pytest.raises(IntegrationError, match="insufficient"):
             integrate_energy([PowerSample(1.0, 5.0)], 1.0, 1.0)
+
+    @pytest.mark.parametrize("t_start, t_end", [
+        (math.nan, math.nan), (2.0, math.nan), (-math.inf, math.inf)])
+    def test_non_finite_window(self, t_start, t_end):
+        with pytest.raises(IntegrationError, match="not finite"):
+            integrate_energy(constant(5.0), t_start, t_end)
 
     def test_degenerate_window(self):
         with pytest.raises(IntegrationError):
