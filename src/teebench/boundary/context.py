@@ -21,9 +21,12 @@ socket or pipe open.
 Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
 and nowhere else: a relayed socket call costs two crossings and an
-open/invoke/close costs two. The caller's thread stays blocked for the
-whole invocation; it is the thread that services the trusted side's
-relayed calls.
+open/invoke/close costs two. A message is a bare header; ``Session._call``
+stages an OPEN or INVOKE body in the session scratch region at window
+offset 0 before it crosses, and ``invoke`` reads the reply values from
+there, bounds-checked, since their length comes from the trusted side.
+The caller's thread stays blocked for the whole invocation; it is the
+thread that services the trusted side's relayed calls.
 
 Counts are kept per session, without a lock: only the session's one
 in-flight operation writes them. A session registers with its context
@@ -38,6 +41,7 @@ import dataclasses
 import itertools
 import os
 import signal
+import struct
 import sys
 import threading
 import traceback
@@ -229,8 +233,7 @@ class Session:
             ctx._sessions.append(self)
         try:
             # a released region faults here, before anything crosses
-            body = pack_open_body(ta_name, self._scratch.descriptor,
-                                  [r.descriptor for r in args_regions])
+            body = pack_open_body(ta_name, [r.descriptor for r in args_regions])
             self._channel = _CHANNELS[ctx.transport](self)
             status = _tee_result(self._call(OPEN, body)[0])
             if status is TeeResult.NOT_FOUND:
@@ -249,12 +252,14 @@ class Session:
         if self._switch_cost:
             clock.inject_delay(self._switch_cost)
 
-    def _call(self, command: int, body: bytes) -> tuple[int, bytes]:
-        """Enter the trusted world with a request and return with its reply."""
+    def _call(self, command: int, body: bytes) -> tuple[int, int]:
+        """Stage a request in the scratch, enter the trusted world with it
+        and return with the reply's status and staged length."""
+        self._scratch.window_write(0, body)
         self._cross()
-        status, body = self._channel.exchange(command, body)
+        status, length = self._channel.exchange(command, len(body))
         self._cross()
-        return status, body
+        return status, length
 
     def _serve(self, msg: Message) -> int:
         """Service one relayed socket call the trusted side made."""
@@ -281,8 +286,13 @@ class Session:
             body = pack_invoke_body(
                 command, [r.descriptor for r in regions], tuple(values)
             )
-            status, reply = self._call(INVOKE, body)
-            return InvokeResult(_tee_result(status), unpack_values(reply))
+            status, length = self._call(INVOKE, body)
+            result = _tee_result(status)
+            try:
+                values = unpack_values(self._scratch.window_read(0, length))
+            except struct.error as exc:
+                raise BoundaryError(f"malformed INVOKE reply: {exc}") from None
+            return InvokeResult(result, values)
         finally:
             self._op_lock.release()
 
@@ -319,19 +329,19 @@ def _flush_stdio() -> None:
             pass
 
 
-def _trusted_process_main(rfd: int, wfd: int) -> None:
-    def rpc(command, region_id, offset, length, handle, body) -> int:
-        write_message(wfd, command, region_id, offset, length, handle, body)
+def _trusted_process_main(rfd: int, wfd: int, scratch) -> None:
+    def rpc(command, region_id, offset, length, handle) -> int:
+        write_message(wfd, command, region_id, offset, length, handle)
         reply = read_message(rfd)
         if reply is None:
             raise BoundaryError("relay closed while waiting for a reply")
         return reply[4]  # status
 
-    runtime = TrustedRuntime(rpc)
+    runtime = TrustedRuntime(rpc, scratch)
     while (msg := read_message(rfd)) is not None:
-        status, body = runtime.dispatch(msg.command, msg.body)
+        status, length = runtime.dispatch(msg[0], msg[3])
         _flush_stdio()  # the parent may kill this process once it has this RETURN
-        write_message(wfd, RETURN, status=status, body=body)
+        write_message(wfd, RETURN, 0, 0, length, status)
 
 
 class _ProcessChannel:
@@ -340,11 +350,13 @@ class _ProcessChannel:
     The parent's two pipe ends are registered before the fork, so every
     child, this one included, closes them (held there, they would keep a
     request pipe from EOF after the parent dies); ``close`` kills and
-    reaps the child.
+    reaps the child. The child inherits the scratch descriptor and maps
+    the scratch before it reads its first request.
     """
 
     def __init__(self, session: Session):
         self._serve = session._serve
+        scratch = session._scratch.descriptor
         to_child_r, self._wfd = os.pipe()
         self._rfd, to_parent_w = os.pipe()
         _held.add(self)
@@ -352,7 +364,7 @@ class _ProcessChannel:
         self._pid = os.fork()
         if self._pid == 0:  # the child; it never returns from here
             try:
-                _trusted_process_main(to_child_r, to_parent_w)
+                _trusted_process_main(to_child_r, to_parent_w, scratch)
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
@@ -362,14 +374,14 @@ class _ProcessChannel:
         os.close(to_child_r)
         os.close(to_parent_w)
 
-    def exchange(self, command: int, body: bytes) -> tuple[int, bytes]:
+    def exchange(self, command: int, length: int) -> tuple[int, int]:
         """Send one request, relaying the trusted side's calls until RETURN."""
         rfd, wfd, serve = self._rfd, self._wfd, self._serve
         try:
-            write_message(wfd, command, body=body)
+            write_message(wfd, command, 0, 0, length)
             while (msg := read_message(rfd)) is not None:
                 if msg[0] == RETURN:
-                    return msg.status, msg.body
+                    return msg[4], msg[3]  # status, reply length
                 write_message(wfd, RETURN, 0, 0, 0, serve(msg))
         except OSError:  # a write found the child gone (EPIPE)
             pass
@@ -390,17 +402,16 @@ class _ProcessChannel:
 
 
 class _InlineChannel:
-    """The trusted runtime called directly in the calling process."""
+    """The trusted runtime called directly in the calling process; closing
+    it unmaps what the session shared, also after a failed open."""
 
     def __init__(self, session: Session):
         def rpc(*fields) -> int:
             return session._serve(tuple.__new__(Message, fields))
 
-        self.runtime = TrustedRuntime(rpc)
+        self.runtime = TrustedRuntime(rpc, session._scratch.descriptor)
         self.exchange = self.runtime.dispatch
-
-    def close(self) -> None:
-        pass
+        self.close = self.runtime._revoke_all
 
 
 _CHANNELS = {"process": _ProcessChannel, "inline": _InlineChannel}

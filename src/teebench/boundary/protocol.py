@@ -1,40 +1,40 @@
 """Control-pipe wire protocol between the two worlds.
 
-Every message starts with a fixed-width little-endian header::
+Every message is one fixed-width little-endian header and nothing else::
 
     u32 command    one of Command below
-    u32 region_id  region the payload lives in; 0 when none
-    u64 offset     window-relative payload offset within that region
-    u64 length     payload length, or body length when region_id == 0
+    u32 region_id  region the request's bytes live in; 0 when none
+    u64 offset     window-relative offset of those bytes in that region
+    u64 length     how many bytes the request or reply has staged
     i64 status     requests: target socket handle for SOCK_* commands
                    replies:  result (TeeResult code, byte count, handle
                              or -errno, depending on the command)
 
-When ``region_id == 0`` and ``length > 0``, exactly ``length`` bytes of
-body follow the header; otherwise nothing does. A body is at most
-``TA_MEMORY_LIMIT`` bytes: a header asking for more is rejected before
-anything is read. Bulk payloads never ride the pipe: a relayed SOCK_SEND
-or SOCK_RECV stages its payload in the session scratch region and names
-it by (region_id, offset, length), and the RETURN to any relayed call
-carries its status and no body. Each message delivered over the pipe is
-one world crossing. An alternate supplicant that speaks this framing and
+No frame carries a body. As on OP-TEE, where a call's arguments sit in
+shared memory (``struct optee_msg_arg``) and the SMC carries only a
+reference to them, every variable-sized argument or reply lives in the
+session scratch region at window offset 0, and ``length`` says how many
+bytes are staged there: the OPEN and INVOKE bodies, the INVOKE reply's
+values, a relayed SOCK_SEND or SOCK_RECV payload and the packed
+arguments of a relayed SOCK_OPEN or SOCK_IOCTL. A relayed call names
+its bytes by (region_id, offset, length); OPEN, INVOKE and RETURN name
+the scratch implicitly. Each message delivered over the pipe is one
+world crossing. An alternate supplicant that speaks this framing and
 the SOCK_* command set below can replace the built-in one.
 
-Sending a frame is one ``os.write`` of header plus body; reading one is
-one ``os.read`` of the header, plus one read of the body when there is
-one. Only a short read or write loops to finish the frame, and a frame
-cut short by EOF reads as EOF. The per-frame path is kept short because
-it runs twice per relayed call: ``write_message`` takes the header
-fields positionally, a frame without a body is packed without a
-concatenation, and ``read_message`` unpacks the header once and builds
-the ``Message`` as the unpacked 5-tuple plus the body,
-``fields + (body,)``. The OPEN and INVOKE body codecs are precompiled
-``struct.Struct`` objects, one per value count for the INVOKE values.
+Sending a frame is one ``os.write`` of its 32 bytes, atomic on a pipe as
+it is under ``PIPE_BUF``; reading one is one ``os.read``. EOF reads as
+None, and a read shorter than a header is a ``BoundaryError``. The
+per-frame path is kept short because it runs twice per relayed call:
+``write_message`` takes the header fields positionally, and
+``read_message`` builds the ``Message`` from the unpacked 5-tuple. The
+OPEN and INVOKE body codecs are precompiled ``struct.Struct`` objects,
+one per value count for the INVOKE values.
 
 This module is the codec: every code that goes on the wire is decided
 here and nowhere else. The body codecs take and return the package's
-own types (``SharedMode`` in a region descriptor, ``Protocol`` in a
-SOCK_OPEN body), and a code they do not know is a ``ValueError``.
+own types (``SharedMode`` in a region descriptor, ``Protocol`` in
+SOCK_OPEN arguments), and a code they do not know is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import os
 import struct
 from typing import NamedTuple
 
-from ..core import TA_MEMORY_LIMIT, Protocol, SharedMode
+from ..core import Protocol, SharedMode
 from .errors import BoundaryError
 from .regions import RegionDescriptor
 
@@ -100,67 +100,29 @@ class Message(NamedTuple):
     offset: int
     length: int
     status: int
-    body: bytes = b""
 
 
 # Bound once for the per-frame path. ``tuple.__new__`` builds a Message
-# from a tuple of all six fields without running the NamedTuple's
-# Python-level ``__new__``.
+# from the unpacked header without running the NamedTuple's Python-level
+# ``__new__``.
 _pack_header = HEADER.pack
 _unpack_header = HEADER.unpack
 _new_tuple = tuple.__new__
-_NO_BODY = (b"",)
 
 
 def write_message(fd: int, command: int, region_id: int = 0, offset: int = 0,
-                  length: int = 0, status: int = 0, body: bytes = b"") -> None:
-    if body:
-        if region_id != 0:
-            raise ValueError("body and region reference are mutually exclusive")
-        if len(body) > TA_MEMORY_LIMIT:
-            raise ValueError(f"a {len(body)} B body is over the frame cap")
-        data = _pack_header(command, region_id, offset, len(body), status) + body
-    else:
-        data = _pack_header(command, region_id, offset, length, status)
-    n = os.write(fd, data)
-    if n < len(data):
-        view = memoryview(data)[n:]
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, n: int) -> bytes | None:
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = os.read(fd, n - got)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+                  length: int = 0, status: int = 0) -> None:
+    os.write(fd, _pack_header(command, region_id, offset, length, status))
 
 
 def read_message(fd: int) -> Message | None:
-    """Read one framed message; None on EOF, also inside a frame."""
+    """Read one frame; None on EOF."""
     raw = os.read(fd, HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         if not raw:
             return None
-        rest = _read_exact(fd, HEADER_SIZE - len(raw))
-        if rest is None:
-            return None
-        raw += rest
-    fields = _unpack_header(raw)
-    if fields[1] or not fields[3]:  # a region reference, or no body
-        return _new_tuple(Message, fields + _NO_BODY)
-    length = fields[3]
-    if length > TA_MEMORY_LIMIT:
-        raise BoundaryError(f"a {length} B frame body is over the cap")
-    body = _read_exact(fd, length)
-    if body is None:
-        return None
-    return _new_tuple(Message, fields + (body,))
+        raise BoundaryError(f"a {len(raw)} B frame is shorter than a header")
+    return _new_tuple(Message, _unpack_header(raw))
 
 
 # --- body packing helpers ------------------------------------------------
@@ -189,7 +151,7 @@ def _values_codec(n: int) -> struct.Struct:
     codec = _VALUES.get(n)
     if codec is None:
         if n > 255:
-            raise struct.error(f"{n} values do not fit the u8 count")
+            raise ValueError(f"{n} values do not fit the u8 count")
         codec = _VALUES[n] = struct.Struct(f"<B{n}Q")
     return codec
 
@@ -229,19 +191,15 @@ def _unpack_regions(buf: bytes, pos: int) -> tuple[list[RegionDescriptor], int]:
     return descs, pos
 
 
-def pack_open_body(ta_name: str, scratch: RegionDescriptor,
-                   args_regions) -> bytes:
+def pack_open_body(ta_name: str, args_regions) -> bytes:
     name = ta_name.encode()
-    return (_U16.pack(len(name)) + name
-            + pack_region_descriptor(scratch) + _pack_regions(args_regions))
+    return _U16.pack(len(name)) + name + _pack_regions(args_regions)
 
 
 def unpack_open_body(body: bytes):
     (nlen,) = _U16.unpack_from(body, 0)
-    name = body[2:2 + nlen].decode()
-    scratch, pos = unpack_region_descriptor(body, 2 + nlen)
-    regions, _ = _unpack_regions(body, pos)
-    return name, scratch, regions
+    regions, _ = _unpack_regions(body, 2 + nlen)
+    return body[2:2 + nlen].decode(), regions
 
 
 def pack_invoke_body(ta_command: int, regions, values) -> bytes:
@@ -255,8 +213,12 @@ def unpack_invoke_body(body: bytes):
 
 
 def pack_values(values) -> bytes:
+    """A u8 count and that many u64 values; any other value is a ValueError."""
     n = len(values)
-    return _values_codec(n).pack(n, *values)
+    try:
+        return _values_codec(n).pack(n, *values)
+    except struct.error as exc:
+        raise ValueError(f"INVOKE values must be u64 integers: {exc}") from None
 
 
 def unpack_values(body: bytes, pos: int = 0) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Relay agent performing real OS socket work on behalf of the trusted side.
 
-One supplicant serves one session. Payload bytes move only through the
-session's scratch region: a relayed call names it by (region, offset,
+One supplicant serves one session. A relayed call's bytes, a payload
+or the packed arguments of a SOCK_OPEN or SOCK_IOCTL, move only through
+the session's scratch region: the call names them by (region, offset,
 length), any other region id is EFAULT, and the answer is one int
 status. A send on an open socket goes to the OS straight from a view of
 the shared mapping, released before the call returns, so the one copy
@@ -43,6 +44,14 @@ from .protocol import (
 )
 
 DISCARD_HANDLE = 0
+
+
+def _staged(regions, msg: Message) -> bytes:
+    """The packed arguments a relayed call staged in the window it names."""
+    region = regions.get(msg[1])
+    if region is None:
+        raise RegionFault(f"region {msg[1]} is not shared with the session")
+    return region.window_read(msg[2], msg[3])
 
 
 class OsSocket:
@@ -117,12 +126,12 @@ class Supplicant:
         answers alike. Status is >= 0 on success (handle or byte count)
         and -errno on failure: the OS errno verbatim, EBADF for an unknown
         handle, EFAULT for a region id or window the session does not
-        share, EINVAL for an unknown command or a request body that does
+        share, EINVAL for an unknown command or request arguments that do
         not decode or apply and EIO for any other failure, whose traceback
         goes to stderr. An OS errno is also kept as the handle's last
         error, which SOCK_ERROR answers.
         """
-        cmd, region_id, offset, length, handle, body = msg
+        cmd, region_id, offset, length, handle = msg
         sock = self._sockets.get(handle)
         try:
             if sock is not None and (cmd == SOCK_SEND or cmd == SOCK_RECV):
@@ -141,7 +150,7 @@ class Supplicant:
             if cmd == SOCK_ERROR:
                 return self._errnos.get(handle, 0)
             if cmd == SOCK_OPEN:
-                return self._open(body)
+                return self._open(_staged(regions, msg))
             if sock is None:
                 return -errno.EBADF
             if cmd == SOCK_CLOSE:
@@ -150,7 +159,7 @@ class Supplicant:
                 sock.close()
                 return 0
             if cmd == SOCK_IOCTL:
-                sock.ioctl(*unpack_ioctl_body(body))
+                sock.ioctl(*unpack_ioctl_body(_staged(regions, msg)))
                 return 0
         except RegionFault:
             return -errno.EFAULT
@@ -164,8 +173,8 @@ class Supplicant:
             return -errno.EIO
         return -errno.EINVAL
 
-    def _open(self, body: bytes) -> int:
-        protocol, host, port = unpack_sock_open_body(body)
+    def _open(self, args: bytes) -> int:
+        protocol, host, port = unpack_sock_open_body(args)
         try:
             sock = OsSocket(host, port, protocol)
         except OSError as exc:

@@ -1,17 +1,23 @@
 """Trusted-side runtime: application registry, execution environment and
 the one class that answers a session's requests on either transport.
 
-``TrustedRuntime.dispatch`` turns each OPEN, INVOKE or CLOSE request into
-(status, reply body); the forked process calls it once per pipe message
-and the inline channel calls it directly. Trusted application code never
-touches the OS directly. Everything it may use hangs off the TrustedEnv
-handed to its entry points: heap accounting against ``TA_MEMORY_LIMIT``,
-the relayed socket facade, shared-region views and the monotonic clock.
+A ``TrustedRuntime`` maps its session's scratch region when it is
+built: the forked process gets the scratch descriptor by fork
+inheritance and the inline channel gets it from the session.
+``dispatch`` turns each OPEN, INVOKE or CLOSE request into (status,
+reply length); the request is the given length of bytes at scratch
+offset 0, and an INVOKE's reply values are staged there. The forked
+process calls it once per pipe message and the inline channel calls it
+directly. Trusted application code never touches the OS directly.
+Everything it may use hangs off the TrustedEnv handed to its entry
+points: heap accounting against ``TA_MEMORY_LIMIT``, the relayed socket
+facade, shared-region views and the monotonic clock.
 
 There is one way out of the trusted side: ``TrustedEnv.rpc(command,
-region_id, offset, length, handle, body) -> status``, called
-positionally with the int command ids of ``protocol``. Every socket
-operation goes through it, and ``protocol`` encodes every wire code.
+region_id, offset, length, handle) -> status``, called positionally with
+the int command ids of ``protocol``. Every socket operation goes through
+it, staging its payload or its packed arguments in the scratch first,
+and ``protocol`` encodes every wire code.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ class TeeSocket:
         n = memoryview(data).nbytes  # the window is in bytes, not items
         if 0 < n <= self._window:
             self._stage(data, n)
-            status = self._rpc(SOCK_SEND, self._region_id, 0, n, self.handle, b"")
+            status = self._rpc(SOCK_SEND, self._region_id, 0, n, self.handle)
             if status < 0:
                 self._checked(status)  # raises
             return status
@@ -139,13 +145,15 @@ class TeeSocket:
             raise ValueError("negative buffersize in recv")
         want = min(max_bytes, self._window)
         status = self._checked(self._rpc(
-            SOCK_RECV, self._region_id, 0, want, self.handle, b""))
+            SOCK_RECV, self._region_id, 0, want, self.handle))
         return self._scratch.read(0, status)
 
     def ioctl(self, code: IoctlCode, arg) -> None:
         self._check_usable()
-        self._checked(self._rpc(SOCK_IOCTL, 0, 0, 0, self.handle,
-                                pack_ioctl_body(code, arg)))
+        args = pack_ioctl_body(code, arg)
+        self._stage(args, len(args))
+        self._checked(self._rpc(SOCK_IOCTL, self._region_id, 0, len(args),
+                                self.handle))
 
     def error(self) -> int:
         """Last OS errno recorded for this socket by the supplicant.
@@ -153,12 +161,12 @@ class TeeSocket:
         Usable in any state; querying the error is the one operation a
         failed socket still supports.
         """
-        return self._rpc(SOCK_ERROR, 0, 0, 0, self.handle, b"")
+        return self._rpc(SOCK_ERROR, 0, 0, 0, self.handle)
 
     def close(self) -> None:
         if self.state is SocketState.CLOSED:
             raise TeeSocketError(9, "socket already closed")
-        status = self._rpc(SOCK_CLOSE, 0, 0, 0, self.handle, b"")
+        status = self._rpc(SOCK_CLOSE, 0, 0, 0, self.handle)
         self.state = SocketState.CLOSED
         if status < 0:
             raise TeeSocketError(-status)
@@ -168,10 +176,10 @@ class TrustedEnv:
     """Execution environment visible to trusted application code; ``rpc``
     is the relay port described in the module docstring."""
 
-    def __init__(self, rpc):
+    def __init__(self, rpc, scratch: TrustedRegionView):
         self.rpc = rpc
+        self.scratch = scratch
         self._used = 0
-        self.scratch: TrustedRegionView | None = None
 
     # -- heap accounting ----------------------------------------------------
 
@@ -196,8 +204,10 @@ class TrustedEnv:
     # -- relayed sockets -----------------------------------------------------
 
     def open_socket(self, host: str, port: int, protocol: Protocol) -> TeeSocket:
-        status = self.rpc(SOCK_OPEN, 0, 0, 0, 0,
-                          pack_sock_open_body(protocol, host, port))
+        args = pack_sock_open_body(protocol, host, port)
+        self.scratch.stage(args, len(args))
+        status = self.rpc(SOCK_OPEN, self.scratch.descriptor.region_id, 0,
+                          len(args), 0)
         if status < 0:
             raise TeeSocketError(-status)
         return TeeSocket(self, status, protocol)
@@ -215,33 +225,40 @@ class TrustedRuntime:
     """Trusted end of one session: the application instance, its
     environment and the views of the regions shared with it.
 
-    ``rpc`` is the session's relay port, handed to ``TrustedEnv``. Both
+    ``rpc`` is the session's relay port and ``scratch`` the descriptor
+    of its scratch region, mapped here and handed to ``TrustedEnv``. Both
     transports call ``dispatch``, and both entry points, ``on_open`` and
     ``on_invoke``, run under one policy (``_enter``), so region caching,
     temporary revocation and error-to-status mapping are the same
     everywhere; an exception that policy does not map becomes GENERIC,
-    with its traceback on stderr.
+    with its traceback on stderr. A failed open gets no on_close: what
+    the session shared goes with the session, when the process channel
+    kills this process or the inline channel calls ``_revoke_all``.
     """
 
-    def __init__(self, rpc):
-        self.env = TrustedEnv(rpc)
+    def __init__(self, rpc, scratch: RegionDescriptor):
+        self.env = TrustedEnv(rpc, TrustedRegionView(scratch))
         self.ta = None
         self._views: dict[int, TrustedRegionView] = {}
 
-    def dispatch(self, command: int, body: bytes) -> tuple[int, bytes]:
+    def dispatch(self, command: int, length: int) -> tuple[int, int]:
+        scratch = self.env.scratch
         try:
             if command == INVOKE:
-                ta_command, region_descs, values = unpack_invoke_body(body)
+                ta_command, region_descs, values = unpack_invoke_body(
+                    scratch.read(0, length))
                 status, out = self.handle_invoke(ta_command, region_descs, values)
-                return status, pack_values(out)
+                reply = pack_values(out)
+                scratch.stage(reply, len(reply))
+                return status, len(reply)
             if command == OPEN:
-                return self.handle_open(*unpack_open_body(body)), b""
+                return self.handle_open(*unpack_open_body(scratch.read(0, length))), 0
             if command == CLOSE:
-                return self.handle_close(), b""
+                return self.handle_close(), 0
         except Exception:
             traceback.print_exc(file=sys.stderr)
-            return TeeResult.GENERIC, b""
-        return TeeResult.NOT_SUPPORTED, b""
+            return TeeResult.GENERIC, 0
+        return TeeResult.NOT_SUPPORTED, 0
 
     def _view_for(self, desc: RegionDescriptor) -> TrustedRegionView:
         if desc.mode is SharedMode.TEMPORARY:
@@ -277,21 +294,14 @@ class TrustedRuntime:
                 if view.descriptor.mode is SharedMode.TEMPORARY:
                     view.revoke()
 
-    def handle_open(self, ta_name: str, scratch_desc: RegionDescriptor,
+    def handle_open(self, ta_name: str,
                     region_descs: list[RegionDescriptor]) -> int:
         factory = _TA_FACTORIES.get(ta_name)
         if factory is None:
             return TeeResult.NOT_FOUND
         self.ta = factory()
         on_open = getattr(self.ta, "on_open", None) or (lambda env, views: None)
-        status = TeeResult.GENERIC
-        try:
-            self.env.scratch = TrustedRegionView(scratch_desc)
-            status = self._enter(region_descs, lambda views: on_open(self.env, views))[0]
-        finally:
-            if status != TeeResult.SUCCESS:
-                self._revoke_all()  # a failed open gets no on_close
-        return status
+        return self._enter(region_descs, lambda views: on_open(self.env, views))[0]
 
     def handle_invoke(self, ta_command: int,
                       region_descs: list[RegionDescriptor],
@@ -317,5 +327,4 @@ class TrustedRuntime:
         for view in self._views.values():
             view.revoke()
         self._views.clear()
-        if self.env.scratch is not None:
-            self.env.scratch.revoke()
+        self.env.scratch.revoke()

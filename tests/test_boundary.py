@@ -31,7 +31,7 @@ from teebench.boundary.protocol import Command, IoctlCode, Message, pack_ioctl_b
 from teebench.boundary.regions import SharedRegion
 from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
-from teebench.boundary.trusted import SocketState
+from teebench.boundary.trusted import SocketState, TrustedRuntime
 from teebench.core import (
     TA_MEMORY_LIMIT,
     Execution,
@@ -78,16 +78,21 @@ class _FlakySocketTa:
 @register_ta("test-bad-relay")
 class _BadRelayTa:
     """Relays sends naming a region the session never shared and a window
-    past the end of its scratch region, then an open whose body does not
-    decode; reports the errnos it got."""
+    past the end of its scratch region, then an open whose staged
+    arguments do not decode, then an open and an ioctl naming a region the
+    session never shared; reports the errnos it got."""
 
     def on_invoke(self, env, command, params):
-        unknown = env.rpc(Command.SOCK_SEND, 999, 0, 16, DISCARD_HANDLE, b"")
+        unknown = env.rpc(Command.SOCK_SEND, 999, 0, 16, DISCARD_HANDLE)
         scratch = env.scratch.descriptor
         outside = env.rpc(Command.SOCK_SEND, scratch.region_id,
-                          scratch.window_length - 8, 16, DISCARD_HANDLE, b"")
-        malformed = env.rpc(Command.SOCK_OPEN, 0, 0, 0, 0, b"\x01")
-        return TeeResult.SUCCESS, (-unknown, -outside, -malformed)
+                          scratch.window_length - 8, 16, DISCARD_HANDLE)
+        env.scratch.stage(b"\x01", 1)
+        malformed = env.rpc(Command.SOCK_OPEN, scratch.region_id, 0, 1, 0)
+        unshared_open = env.rpc(Command.SOCK_OPEN, 999, 0, 1, 0)
+        unshared_ioctl = env.rpc(Command.SOCK_IOCTL, 999, 0, 1, DISCARD_HANDLE)
+        return TeeResult.SUCCESS, (-unknown, -outside, -malformed,
+                                   -unshared_open, -unshared_ioctl)
 
 
 @register_ta("test-stale-region")
@@ -102,7 +107,7 @@ class _StaleRegionTa:
             self.region_id = params.regions[0].descriptor.region_id
             return TeeResult.SUCCESS
         status = env.rpc(Command.SOCK_SEND, self.region_id, 0, 16,
-                         DISCARD_HANDLE, b"")
+                         DISCARD_HANDLE)
         return TeeResult.SUCCESS, (int(status < 0), abs(status))
 
 
@@ -545,6 +550,50 @@ class TestStatusAndStaleRegions:
         session.close()
         ctx.finalize()
 
+    @pytest.mark.parametrize("staged, length, error", [
+        (b"", TA_MEMORY_LIMIT + 1, "outside"),        # past the scratch window
+        (b"\x05", 1, "malformed INVOKE reply"),       # a count of 5, no values
+    ], ids=["past-the-window", "malformed"])
+    def test_a_bad_reply_is_a_boundary_error_and_the_session_goes_on(
+            self, transport, monkeypatch, staged, length, error):
+        # patched before the open, so the forked trusted process has it too;
+        # it answers the first INVOKE of its process with the bad reply
+        dispatch = TrustedRuntime.dispatch
+        lied = []
+
+        def lying_dispatch(self, command, request_length):
+            status, reply_length = dispatch(self, command, request_length)
+            if command == Command.INVOKE and not lied:
+                lied.append(reply_length)
+                self.env.scratch.stage(staged, len(staged))
+                return status, length
+            return status, reply_length
+
+        monkeypatch.setattr(TrustedRuntime, "dispatch", lying_dispatch)
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        before = ctx.stats.crossings
+        with pytest.raises(BoundaryError, match=error):
+            session.invoke(NOOP_COMMAND)
+        assert ctx.stats.crossings == before + 2
+        assert session.invoke(NOOP_COMMAND) == (TeeResult.SUCCESS, ())
+        session.close()
+        ctx.finalize()
+
+    @pytest.mark.parametrize("values", [(-1,), tuple(range(300)), (2**64,), (1.5,)],
+                             ids=["negative", "over-255", "over-u64", "float"])
+    def test_invoke_values_that_do_not_fit_are_a_value_error_before_crossing(
+            self, transport, values):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        before = ctx.stats.crossings
+        with pytest.raises(ValueError):
+            session.invoke(NOOP_COMMAND, values=values)
+        assert ctx.stats.crossings == before
+        assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
+        session.close()
+        ctx.finalize()
+
     def test_released_region_cannot_open_a_session(self, transport):
         ctx = initialize_context(transport=transport)
         region = ctx.allocate_shared_region(KIB, SharedMode.WHOLE)
@@ -814,7 +863,8 @@ class TestFaultContainment:
         session = ctx.open_session("test-bad-relay")
         result = session.invoke(1)
         assert result.status == TeeResult.SUCCESS
-        assert result.values == (errno.EFAULT, errno.EFAULT, errno.EINVAL)
+        assert result.values == (errno.EFAULT, errno.EFAULT, errno.EINVAL,
+                                 errno.EFAULT, errno.EFAULT)
         closer = threading.Thread(target=session.close, daemon=True)
         closer.start()
         closer.join(timeout=10)
@@ -1112,6 +1162,19 @@ class TestNormalWorldDeath:
             run.stdout.close()
 
 
+def _relay_args(supplicant, command, handle, args):
+    """Service ``command`` with its packed arguments staged, as the trusted
+    side stages them, at offset 0 of a region shared for the one call."""
+    region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+    try:
+        region.window_write(0, args)
+        return supplicant.service(
+            Message(command, region.region_id, 0, len(args), handle),
+            {region.region_id: region})
+    finally:
+        region.release()
+
+
 class TestSupplicantIoctl:
     def _scratch_region(self, ctx):
         return ctx.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
@@ -1120,17 +1183,13 @@ class TestSupplicantIoctl:
         supplicant = Supplicant()
         from teebench.boundary.protocol import pack_sock_open_body
 
-        handle = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
-            {},
-        )
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port))
         assert handle > 0
-        status = supplicant.service(
-            Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
-                    pack_ioctl_body(IoctlCode.SET_BUF_SIZES, (64 * KIB, 32 * KIB))),
-            {},
-        )
+        status = _relay_args(
+            supplicant, Command.SOCK_IOCTL, handle,
+            pack_ioctl_body(IoctlCode.SET_BUF_SIZES, (64 * KIB, 32 * KIB)))
         assert status == 0
         sock = supplicant._sockets[handle].raw
         # the kernel at least doubles the requested value for bookkeeping
@@ -1142,16 +1201,12 @@ class TestSupplicantIoctl:
         supplicant = Supplicant()
         from teebench.boundary.protocol import pack_sock_open_body
 
-        handle = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
-            {},
-        )
-        status = supplicant.service(
-            Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
-                    pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1))),
-            {},
-        )
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port))
+        status = _relay_args(
+            supplicant, Command.SOCK_IOCTL, handle,
+            pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1)))
         import errno as errno_mod
 
         assert status == -errno_mod.EOPNOTSUPP
@@ -1161,16 +1216,12 @@ class TestSupplicantIoctl:
         from teebench.boundary.protocol import pack_sock_open_body
 
         supplicant = Supplicant()
-        handle = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
-            {},
-        )
-        supplicant.service(
-            Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
-                    pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1))),
-            {},
-        )
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port))
+        _relay_args(
+            supplicant, Command.SOCK_IOCTL, handle,
+            pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1)))
         last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
         assert supplicant.service(last_error, {}) == errno.EOPNOTSUPP
         assert supplicant.service(
@@ -1179,16 +1230,15 @@ class TestSupplicantIoctl:
 
     def test_unknown_protocol_code_is_einval(self):
         supplicant = Supplicant()
-        body = struct.pack("<BH", 7, 9) + b"127.0.0.1"
-        status = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0, body), {})
+        args = struct.pack("<BH", 7, 9) + b"127.0.0.1"
+        status = _relay_args(supplicant, Command.SOCK_OPEN, 0, args)
         supplicant.release()
         assert status == -errno.EINVAL
 
     def test_unknown_handle_is_ebadf(self):
         supplicant = Supplicant()
         status = supplicant.service(
-            Message(Command.SOCK_CLOSE, 0, 0, 0, 42, b""), {})
+            Message(Command.SOCK_CLOSE, 0, 0, 0, 42), {})
         import errno as errno_mod
 
         assert status == -errno_mod.EBADF
@@ -1216,11 +1266,9 @@ class TestRelayErrorPrecedence:
         from teebench.boundary.protocol import pack_sock_open_body
 
         supplicant = Supplicant()
-        handle = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port)),
-            {},
-        )
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port))
         assert handle > 0
         region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
         yield supplicant, handle, region
@@ -1251,8 +1299,10 @@ class TestRelayErrorPrecedence:
     def test_socket_error_after_a_fault_is_still_the_last_os_errno(self, live):
         supplicant, handle, region = live
         regions = {region.region_id: region}
-        refused = Message(Command.SOCK_IOCTL, 0, 0, 0, handle,
-                          pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1)))
+        args = pack_ioctl_body(IoctlCode.SET_PEER, ("127.0.0.1", 1))
+        region.window_write(0, args)
+        refused = Message(Command.SOCK_IOCTL, region.region_id, 0, len(args),
+                          handle)
         assert supplicant.service(refused, regions) == -errno.EOPNOTSUPP
         past_end = Message(Command.SOCK_SEND, region.region_id,
                            4 * KIB - 8, 16, handle)
@@ -1273,10 +1323,23 @@ class TestRelayErrorPrecedence:
         finally:
             region.release()
 
-    def test_discard_ioctl_whose_body_does_not_decode_is_einval(self):
-        status = Supplicant().service(
-            Message(Command.SOCK_IOCTL, 0, 0, 0, DISCARD_HANDLE, b"\x01"), {})
+    def test_discard_ioctl_whose_arguments_do_not_decode_is_einval(self):
+        status = _relay_args(Supplicant(), Command.SOCK_IOCTL, DISCARD_HANDLE,
+                             b"\x01")
         assert status == -errno.EINVAL
+
+    @pytest.mark.parametrize("command", [Command.SOCK_OPEN, Command.SOCK_IOCTL])
+    def test_arguments_in_a_region_the_session_does_not_share_are_efault(
+            self, live, command):
+        supplicant, handle, region = live
+        args = pack_ioctl_body(IoctlCode.SET_BUF_SIZES, (KIB, KIB))
+        region.window_write(0, args)
+        regions = {region.region_id: region}
+        for region_id, offset in ((999, 0), (region.region_id, 4 * KIB - 8)):
+            msg = Message(command, region_id, offset, len(args), handle)
+            assert supplicant.service(msg, regions) == -errno.EFAULT
+        last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
+        assert supplicant.service(last_error, regions) == 0
 
     def test_an_unknown_command_is_einval_on_the_sink_and_a_live_handle(self, live):
         supplicant, handle, _ = live
@@ -1305,12 +1368,10 @@ class TestFaultingRecv:
 
         listener = socket.create_server(("127.0.0.1", 0))
         supplicant = Supplicant()
-        handle = supplicant.service(
-            Message(Command.SOCK_OPEN, 0, 0, 0, 0,
-                    pack_sock_open_body(Protocol.TCP, "127.0.0.1",
-                                        listener.getsockname()[1])),
-            {},
-        )
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.TCP, "127.0.0.1",
+                                listener.getsockname()[1]))
         assert handle > 0
         peer, _ = listener.accept()
         payload = bytes(range(100))

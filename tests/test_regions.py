@@ -48,10 +48,10 @@ class TestAllocation:
         temporary = make_region(SharedMode.TEMPORARY, size=KIB)
         whole = make_region(SharedMode.WHOLE, size=KIB, region_id=2)
         views = []
-        TrustedRuntime(rpc=None)._enter(
-            [temporary.descriptor, whole.descriptor], views.extend)
+        runtime = TrustedRuntime(None, whole.descriptor)
+        runtime._enter([temporary.descriptor, whole.descriptor], views.extend)
         assert [view.revoked for view in views] == [True, False]
-        views[1].revoke()
+        runtime._revoke_all()
         temporary.release()
         whole.release()
 
@@ -201,8 +201,7 @@ class TestStage:
             calls.append(fields)
             return fields[3]
 
-        runtime = TrustedRuntime(rpc)
-        runtime.env.scratch = TrustedRegionView(region.descriptor)
+        runtime = TrustedRuntime(rpc, region.descriptor)
         sock = runtime.env.discard_socket()
         runtime._revoke_all()
         with pytest.raises(RegionFault):
