@@ -64,7 +64,6 @@ from .protocol import (
     RETURN,
     SOCK_RECV,
     SOCK_SEND,
-    Message,
     TeeResult,
     pack_invoke_body,
     pack_open_body,
@@ -261,8 +260,9 @@ class Session:
         self._cross()
         return status, length
 
-    def _serve(self, msg: Message) -> int:
-        """Service one relayed socket call the trusted side made."""
+    def _serve(self, msg: tuple) -> int:
+        """Service one relayed socket call the trusted side made; ``msg``
+        is the bare 5-tuple of its header, fields in ``Message``'s order."""
         self._cross()
         status = self._supplicant.service(msg, self._relay_regions)
         stats = self._stats
@@ -406,8 +406,8 @@ class _InlineChannel:
     it unmaps what the session shared, also after a failed open."""
 
     def __init__(self, session: Session):
-        def rpc(*fields) -> int:
-            return session._serve(tuple.__new__(Message, fields))
+        def rpc(*fields) -> int:  # ``fields`` is already the exact header tuple
+            return session._serve(fields)
 
         self.runtime = TrustedRuntime(rpc, session._scratch.descriptor)
         self.exchange = self.runtime.dispatch

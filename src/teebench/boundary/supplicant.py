@@ -38,7 +38,6 @@ from .protocol import (
     SOCK_RECV,
     SOCK_SEND,
     IoctlCode,
-    Message,
     unpack_ioctl_body,
     unpack_sock_open_body,
 )
@@ -46,7 +45,7 @@ from .protocol import (
 DISCARD_HANDLE = 0
 
 
-def _staged(regions, msg: Message) -> bytes:
+def _staged(regions, msg: tuple) -> bytes:
     """The packed arguments a relayed call staged in the window it names."""
     region = regions.get(msg[1])
     if region is None:
@@ -118,18 +117,20 @@ class Supplicant:
         self._errnos: dict[int, int] = {}  # last OS errno per handle, kept after close
         self._next_handle = 1
 
-    def service(self, msg: Message, regions) -> int:
+    def service(self, msg: tuple, regions) -> int:
         """Execute one relayed call and return its status.
 
-        ``regions`` maps region_id to an object with ``window_view``.
-        Every handle in the table, the discard sink (handle 0) included,
-        answers alike. Status is >= 0 on success (handle or byte count)
-        and -errno on failure: the OS errno verbatim, EBADF for an unknown
-        handle, EFAULT for a region id or window the session does not
-        share, EINVAL for an unknown command or request arguments that do
-        not decode or apply and EIO for any other failure, whose traceback
-        goes to stderr. An OS errno is also kept as the handle's last
-        error, which SOCK_ERROR answers.
+        ``msg`` is the bare 5-tuple of the call's header, fields in
+        ``protocol.Message``'s order. ``regions`` maps region_id to an
+        object with ``window_view``. Every handle in the table, the
+        discard sink (handle 0) included, answers alike. Status is >= 0
+        on success (handle or byte count) and -errno on failure: the OS
+        errno verbatim, EBADF for an unknown handle, EFAULT for a region
+        id or window the session does not share, EINVAL for an unknown
+        command or request arguments that do not decode or apply and EIO
+        for any other failure, whose traceback goes to stderr. An OS
+        errno is also kept as the handle's last error, which SOCK_ERROR
+        answers.
         """
         cmd, region_id, offset, length, handle = msg
         sock = self._sockets.get(handle)

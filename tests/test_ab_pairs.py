@@ -37,9 +37,22 @@ def test_summary_gives_quartiles_and_wins_in_the_declared_direction(ab_pairs):
     assert lower["parent"] == (5.25, 6.5, 7.75)
     assert lower["change"][1] == 6.25
     assert lower["median_delta"] == pytest.approx(6.25 / 6.5 - 1)
+    assert lower["p"] == 1.0            # the tie is dropped: 2 wins, 1 loss
     higher = summary["goodput"]
     assert (higher["wins"], higher["losses"]) == (1, 2)
     assert "absent" not in summary
+
+
+def test_sign_test_p_is_exact_two_sided_with_ties_dropped(ab_pairs):
+    assert ab_pairs.sign_test_p(6, 0) == 0.03125     # 2 / 2**6
+    assert ab_pairs.sign_test_p(0, 6) == 0.03125
+    assert ab_pairs.sign_test_p(9, 1) == pytest.approx(22 / 1024)
+    assert ab_pairs.sign_test_p(5, 5) == 1.0
+    assert ab_pairs.sign_test_p(0, 0) == 1.0         # all pairs tied
+
+    better = [(_result(slowdown_x=3.0), _result(slowdown_x=2.9))] * 6
+    summary = ab_pairs.summarize(better, {"slowdown_x": "lower"})["metrics"]
+    assert summary["slowdown_x"]["p"] == 0.03125
 
 
 def test_summary_totals_failed_and_attempted_ops_per_side(ab_pairs):

@@ -829,6 +829,27 @@ class TestSocketFacade:
         assert (result.status, result.values) == (TeeResult.SUCCESS, (400,))
         assert (stats.rpc_count, stats.bytes_copied) == (1, 400)
 
+    def test_the_supplicant_is_served_exact_header_tuples(
+            self, transport, monkeypatch):
+        # CPython specialises unpacking and indexing only for an exact
+        # tuple; a Message (a tuple subclass) would slow every relayed
+        # call's unpack in ``service`` and its command checks
+        served = []
+        service = Supplicant.service
+
+        def recording(self, msg, regions):
+            served.append(type(msg))
+            return service(self, msg, regions)
+
+        monkeypatch.setattr(Supplicant, "service", recording)
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("probe")
+        result = session.invoke(ProbeCommand.SEND_DISCARD, values=(3, KIB))
+        session.close()
+        ctx.finalize()
+        assert result.values == (3 * KIB,)
+        assert served == [tuple] * 3
+
     def test_recv_through_the_relay_reads_the_peer_to_eof(self, transport):
         payload = random.Random(5).randbytes(100_000)
         listener = socket.socket()

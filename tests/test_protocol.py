@@ -59,9 +59,8 @@ def test_round_trip(pipe):
     r, w = pipe
     write_message(w, Command.SOCK_SEND, region_id=3, offset=64, length=4096,
                   status=7)
-    msg = read_message(r)
-    assert msg.region_id == 3 and msg.offset == 64 and msg.length == 4096
-    assert msg.status == 7               # request status carries the handle
+    # a request's status field carries the target socket handle
+    assert read_message(r) == Message(Command.SOCK_SEND, 3, 64, 4096, 7)
     write_message(w, Command.RETURN, length=5, status=-104)
     assert read_message(r) == Message(Command.RETURN, 0, 0, 5, -104)
 
@@ -89,7 +88,17 @@ def test_back_to_back_frames_read_one_header_per_call(pipe):
     r, w = pipe
     for status in range(3):
         write_message(w, Command.RETURN, status=status)
-    assert [read_message(r).status for _ in range(3)] == [0, 1, 2]
+    assert [read_message(r) for _ in range(3)] == [
+        Message(Command.RETURN, 0, 0, 0, status) for status in range(3)]
+
+
+def test_read_message_returns_an_exact_tuple(pipe):
+    # CPython specialises unpacking and indexing only for an exact tuple;
+    # a Message (a tuple subclass) costs about 0.3 us more to build and
+    # slows every unpack and index of a frame on both sides of the relay
+    r, w = pipe
+    write_message(w, Command.SOCK_SEND, 1, 0, 8, 0)
+    assert type(read_message(r)) is tuple
 
 
 def test_message_is_an_immutable_five_field_tuple():

@@ -10,9 +10,11 @@ falls on both sides alike. Each run's last stdout line is its JSON
 result. For every metric the summary gives each side's median and
 quartiles and how many pairs the change won: a pair counts for the
 change when its value is better in the direction ``BENCHMARK.json``
-declares, and a tie counts for neither side. It also totals each
-side's failed and attempted operations and prints its share of failed
-ones. Under the ratios it prints the bases they are made of: each
+declares, and a tie counts for neither side. Next to the wins it prints
+the exact two-sided sign-test p-value of the pairs that were not ties,
+the chance of a split at least that uneven if either side were as
+likely to win each pair. It also totals each side's failed and attempted
+operations and prints its share of failed ones. Under the ratios it prints the bases they are made of: each
 side's quartiles of the run medians of the goodputs and of
 ``server.receive_calls`` that each untraced run prints, so a ratio that
 moved because its denominator moved reads as such. A run whose result
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -72,12 +75,22 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``
+    (ties already dropped): twice the binomial(n, 1/2) tail at the
+    smaller count, capped at 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarize(pairs: list[tuple[dict, dict]],
               better: dict[str, str]) -> dict[str, dict]:
     """Under "metrics", per metric: each side's (q1, median, q3), the
-    change's wins and losses over the pairs, and the change of the
-    median relative to the parent's. Under "ops", per side: its
-    ``failed`` and ``attempted`` operations summed over all its runs.
+    change's wins and losses over the pairs, their sign-test p-value and
+    the change of the median relative to the parent's. Under "ops", per
+    side: its ``failed`` and ``attempted`` operations summed over all its
+    runs.
     Under "bases", per base a run carried: each side's (q1, median, q3)
     over the runs that carried it, or None where none did.
 
@@ -111,7 +124,7 @@ def summarize(pairs: list[tuple[dict, dict]],
         change = _quartiles([c for _, c in both])
         out[name] = {
             "n": len(both), "parent": parent, "change": change,
-            "wins": wins, "losses": losses,
+            "wins": wins, "losses": losses, "p": sign_test_p(wins, losses),
             "median_delta": change[1] / parent[1] - 1 if parent[1] else None,
         }
     return {"metrics": out, "ops": ops, "bases": bases}
@@ -151,7 +164,7 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, {len(pairs)} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<12} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
-          f"{'median':>8} {'wins':>6}")
+          f"{'median':>8} {'wins':>6} {'p':>8}")
     summary = summarize(pairs, better)
     for name, s in summary["metrics"].items():
         p = "/".join(f"{v:.4g}" for v in s["parent"])
@@ -159,7 +172,7 @@ def main(argv=None) -> int:
         delta = (f"{s['median_delta']:+.1%}" if s["median_delta"] is not None
                  else "n/a")
         print(f"{name:<12} {p:>28} {c:>28} {delta:>8} "
-              f"{s['wins']:>3}/{s['n']}")
+              f"{s['wins']:>3}/{s['n']} {s['p']:>8.4g}")
     print(f"{'base':<20} {'parent q1/med/q3':>28} {'change q1/med/q3':>28}")
     for name, s in summary["bases"].items():
         p, c = ("/".join(f"{v:.4g}" for v in q) if q else "n/a"
