@@ -19,8 +19,7 @@ values, a relayed SOCK_SEND or SOCK_RECV payload and the packed
 arguments of a relayed SOCK_OPEN or SOCK_IOCTL. A relayed call names
 its bytes by (region_id, offset, length); OPEN, INVOKE and RETURN name
 the scratch implicitly. Each message delivered over the pipe is one
-world crossing. An alternate supplicant that speaks this framing and
-the SOCK_* command set below can replace the built-in one.
+world crossing.
 
 Sending a frame is one ``os.write`` of its 32 bytes, atomic on a pipe as
 it is under ``PIPE_BUF``; reading one is one ``os.read``. EOF reads as

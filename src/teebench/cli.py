@@ -55,7 +55,7 @@ def _parse_scaled(text: str, suffixes: dict, what: str, cast=float):
     mult = suffixes.get(body[-1:].lower())
     try:
         return cast(float(body[:-1]) * mult if mult else float(body))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
 
 
@@ -291,16 +291,6 @@ def _write_series_csv(path: Path, series: dict) -> None:
             ])
 
 
-def _base_payload(inv: ParsedInvocation, started: float) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "role": inv.role,
-        "config": inv.config.to_dict(),
-        "argv": render_args(inv),
-        "started_at": started,
-    }
-
-
 def _trace_energy(inv: ParsedInvocation, t_start=None, t_end=None) -> EnergyReport:
     """Energy from the invocation's power trace over [t_start, t_end] on
     the host clock; the window defaults to the trace's own span."""
@@ -313,8 +303,6 @@ def _trace_energy(inv: ParsedInvocation, t_start=None, t_end=None) -> EnergyRepo
 
 
 def _attach_energy(payload: dict, inv: ParsedInvocation) -> None:
-    if inv.power_trace is None:
-        return
     try:
         report = _trace_energy(inv, payload["started_at"], payload["ended_at"])
         payload["energy"] = report.to_dict()
@@ -331,16 +319,13 @@ def _attach_energy(payload: dict, inv: ParsedInvocation) -> None:
 def _run_client_role(inv: ParsedInvocation, stream) -> dict:
     result = run_client(inv.config)
     metrics = result.transfer
-    payload = _base_payload(inv, result.started_at)
-    payload["ended_at"] = result.ended_at
-    payload["transfer_metrics"] = metrics.to_dict()
+    block = {"transfer_metrics": metrics.to_dict()}
     if metrics.total_runtime > 0:
-        payload["throughput_bps"] = derive_throughput(metrics)
+        block["throughput_bps"] = derive_throughput(metrics)
     if result.boundary_stats is not None:
-        payload["boundary_stats"] = result.boundary_stats.to_dict()
-    _attach_energy(payload, inv)
+        block["boundary_stats"] = result.boundary_stats.to_dict()
 
-    mbit = payload.get("throughput_bps", 0.0) / 1e6
+    mbit = block.get("throughput_bps", 0.0) / 1e6
     line = (f"sent {metrics.bytes_transferred} B in {metrics.total_runtime:.3f} s "
             f"({mbit:.2f} Mbit/s, {metrics.transmit_calls} calls)")
     if metrics.error:
@@ -349,7 +334,7 @@ def _run_client_role(inv: ParsedInvocation, stream) -> dict:
         line += (f"; crossings {result.boundary_stats.crossings}, "
                  f"injected {result.boundary_stats.injected_cost_total:.3f} s")
     print(line, file=stream)
-    return payload
+    return block
 
 
 def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
@@ -360,7 +345,6 @@ def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
         socket_buffer=cfg.socket_buffer_size,
         recv_buffer=cfg.chunk_size,
     )
-    started = time.time()
     server = BenchmarkServer(server_cfg).start()
     print(f"listening on port {server.port} ({cfg.protocol.value})", file=stream)
     seen = 0
@@ -376,15 +360,11 @@ def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
         pass
     finally:
         server.stop()
-    payload = _base_payload(inv, started)
-    payload["ended_at"] = time.time()
-    payload["flows"] = [m.to_dict() for m in server.collected()]
-    return payload
+    return {"flows": [m.to_dict() for m in server.collected()]}
 
 
 def _run_kvbench_role(inv: ParsedInvocation, stream) -> dict:
     cfg = inv.config
-    started = time.time()
     series = run_kv_bench(
         inv.kv_workload,
         shared_mode=cfg.shared_mode,
@@ -392,46 +372,50 @@ def _run_kvbench_role(inv: ParsedInvocation, stream) -> dict:
         seed=cfg.rng_seed,
         switch_cost=cfg.switch_cost,
     )
-    payload = _base_payload(inv, started)
-    payload["ended_at"] = time.time()
-    payload["series"] = series.to_dict()
     for record in series.records:
         print(f"rate {record.target_rate:>8.0f} ops/s: achieved "
               f"{record.achieved_rate:>10.1f}, mean latency "
               f"{record.mean_latency * 1e6:.1f} us", file=stream)
-    return payload
+    return {"series": series.to_dict()}
 
 
 def _run_energy_role(inv: ParsedInvocation, stream) -> dict:
-    started = time.time()
     report = _trace_energy(inv)
-    payload = _base_payload(inv, started)
-    payload["ended_at"] = time.time()
-    payload["energy"] = report.to_dict()
-    payload["trace"] = {"path": inv.power_trace,
-                        "format": inv.power_format.value}
     span = report.t_end - report.t_start
     print(f"{report.energy:.3f} J over {span:.1f} s "
           f"(mean {report.mean_power:.2f} W, {report.sample_count} samples)",
           file=stream)
-    return payload
+    return {"energy": report.to_dict(),
+            "trace": {"path": inv.power_trace, "format": inv.power_format.value}}
 
 
 def main(argv=None, stream=None, flow_limit=None) -> int:
     inv = parse_args(argv if argv is not None else sys.argv[1:])
     stream = stream if stream is not None else sys.stdout
+    started = time.time()
     try:
         if inv.role == "client":
-            payload = _run_client_role(inv, stream)
+            block = _run_client_role(inv, stream)
         elif inv.role == "server":
-            payload = _run_server_role(inv, stream, flow_limit)
+            block = _run_server_role(inv, stream, flow_limit)
         elif inv.role == "kvbench":
-            payload = _run_kvbench_role(inv, stream)
+            block = _run_kvbench_role(inv, stream)
         else:
-            payload = _run_energy_role(inv, stream)
+            block = _run_energy_role(inv, stream)
     except (OSError, ValueError, RuntimeError, BoundaryError) as exc:
         print(f"teebench: {exc}", file=sys.stderr)
         return 1
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "role": inv.role,
+        "config": inv.config.to_dict(),
+        "argv": render_args(inv),
+        "started_at": started,
+        "ended_at": time.time(),
+        **block,
+    }
+    if inv.role == "client" and inv.power_trace is not None:
+        _attach_energy(payload, inv)
     try:
         emit_report(payload, inv, stream)
     except ReportWriteError as exc:

@@ -1,8 +1,9 @@
 """Hash-table key-value store used as the shared-memory overhead workload.
 
 Separate chaining over a fixed 256-bucket array with modular placement
-(bucket = key mod 256). Single-threaded by contract; the bench driver is
-its only client.
+(bucket = key mod 256). Single-threaded by contract. It has two clients,
+each with a store of its own: the KV bench's direct runner and, behind
+the boundary, the trusted application ``KvTa``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ back out of shared memory.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .boundary import BoundaryError, BoundaryStats, initialize_context
@@ -39,11 +38,12 @@ class RunFailure(BoundaryError):
 
 @dataclass(frozen=True)
 class RunResult:
-    config: RunConfig
+    """What one client run measured: the ``transfer`` metrics, and the
+    ``boundary_stats`` of its context for a boundary run (None for a
+    direct one)."""
+
     transfer: TransferMetrics
     boundary_stats: BoundaryStats | None
-    started_at: float               # Unix time
-    ended_at: float
 
 
 def alloc_window_region(ctx, size: int, mode: SharedMode):
@@ -54,22 +54,15 @@ def alloc_window_region(ctx, size: int, mode: SharedMode):
     return ctx.allocate_shared_region(size, mode)
 
 
-def _alloc_io_region(ctx, mode: SharedMode):
-    return alloc_window_region(ctx, _IO_REGION_SIZE, mode)
-
-
 def run_client(cfg: RunConfig, *, transport: str = "process") -> RunResult:
     """Execute one client run per ``cfg.execution`` and return its results."""
     cfg = validate_config(cfg)
-    started = time.time()
-
     if cfg.execution is Execution.DIRECT:
-        metrics = run_measurement(cfg)
-        return RunResult(cfg, metrics, None, started, time.time())
+        return RunResult(run_measurement(cfg), None)
 
     ctx = initialize_context(switch_cost=cfg.switch_cost, transport=transport)
-    args_region = _alloc_io_region(ctx, cfg.shared_mode)
-    metrics_region = _alloc_io_region(ctx, cfg.shared_mode)
+    args_region = alloc_window_region(ctx, _IO_REGION_SIZE, cfg.shared_mode)
+    metrics_region = alloc_window_region(ctx, _IO_REGION_SIZE, cfg.shared_mode)
     try:
         write_json(args_region.window_write, cfg.to_dict())
         session = ctx.open_session("traffic")
@@ -87,4 +80,4 @@ def run_client(cfg: RunConfig, *, transport: str = "process") -> RunResult:
         ctx.release_region(metrics_region)
     stats = ctx.stats
     ctx.finalize()
-    return RunResult(cfg, metrics, stats, started, time.time())
+    return RunResult(metrics, stats)

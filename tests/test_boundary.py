@@ -519,13 +519,12 @@ class TestTaMemory:
     def test_oversized_chunk_in_boundary_run_returns_out_of_memory(self):
         # bypass config validation to hit the runtime's own cap
         from teebench.boundary.tas import TrafficCommand, write_json
-        from teebench.runner import _alloc_io_region
 
         cfg = RunConfig(mode=Mode.FIXED_BYTES, total_bytes=KIB,
                         chunk_size=2 * 1024 * 1024, port=1)
         ctx = initialize_context(transport="inline")
-        args = _alloc_io_region(ctx, SharedMode.WHOLE)
-        metrics = _alloc_io_region(ctx, SharedMode.WHOLE)
+        args = ctx.allocate_shared_region(16 * KIB, SharedMode.WHOLE)
+        metrics = ctx.allocate_shared_region(16 * KIB, SharedMode.WHOLE)
         write_json(args.window_write, cfg.to_dict())
         session = ctx.open_session("traffic")
         result = session.invoke(TrafficCommand.RUN, regions=(args, metrics))

@@ -39,8 +39,9 @@ class TestSuffixes:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_bitrate("fast")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_size("big")
+        for text in ("big", "inf", "1e400", "infK"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_size(text)
 
 
 class TestParse:
@@ -110,20 +111,21 @@ class TestParse:
         with pytest.raises(SystemExit):
             parse_args(["--client", "h", "--port", "70000"])
 
-    @pytest.mark.parametrize("argv", [
-        ["--kv", "put", "--exec", "boundary", "--switch-cost", "nan"],
-        ["--kv", "put", "--switch-cost", "inf"],
-        ["--client", "h", "--time", "nan"],
-        ["--client", "h", "--bitrate", "inf"],
-        ["--power-trace", "m.csv", "--power-offset", "nan"],
-        ["--power-trace", "m.csv", "--power-offset=-inf"],
+    @pytest.mark.parametrize("argv, error", [
+        (["--kv", "put", "--exec", "boundary", "--switch-cost", "nan"], "finite"),
+        (["--kv", "put", "--switch-cost", "inf"], "finite"),
+        (["--client", "h", "--time", "nan"], "finite"),
+        (["--client", "h", "--bitrate", "inf"], "finite"),
+        (["--power-trace", "m.csv", "--power-offset", "nan"], "finite"),
+        (["--power-trace", "m.csv", "--power-offset=-inf"], "finite"),
+        (["--client", "h", "--length", "inf"], "invalid size 'inf'"),
     ], ids=["switch-cost-nan", "switch-cost-inf", "time-nan", "bitrate-inf",
-            "power-offset-nan", "power-offset-minus-inf"])
-    def test_non_finite_setting_is_a_usage_error(self, argv, capsys):
+            "power-offset-nan", "power-offset-minus-inf", "length-inf"])
+    def test_non_finite_setting_is_a_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
-        assert "finite" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_udp_server_caps_the_receive_buffer_at_one_datagram(self):
         inv = parse_args(["--server", "--udp"])
@@ -251,7 +253,77 @@ class TestEmitReport:
         assert len(lines) == 2 and lines[0].startswith("workload,")
 
 
+def free_port() -> int:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def feed_one_flow(port: int) -> threading.Thread:
+    """A thread that sends one 4 KiB TCP flow to ``port`` once it listens."""
+    def feed():
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+                sock.sendall(b"f" * 4096)
+                sock.close()
+                return
+            except OSError:
+                time.sleep(0.05)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    return feeder
+
+
+def use_tiny_kv_bench(monkeypatch) -> None:
+    """Make the CLI's KV bench run a single 32768 ops/s rate."""
+    import teebench.cli as cli_mod
+    from teebench.kvbench import run_kv_bench
+
+    def tiny_bench(workload, shared_mode, execution, seed, switch_cost):
+        return run_kv_bench(workload, shared_mode=shared_mode,
+                            execution=execution, seed=seed,
+                            switch_cost=switch_cost, rates=(32768,))
+
+    monkeypatch.setattr(cli_mod, "run_kv_bench", tiny_bench)
+
+
 class TestMainRoles:
+    @pytest.mark.parametrize("role", ["client", "server", "kvbench", "energy"])
+    def test_every_role_report_has_the_same_frame(self, role, request, tmp_path,
+                                                  monkeypatch):
+        feeder = None
+        if role == "client":
+            port = request.getfixturevalue("tcp_server").port
+            argv = ["--client", "127.0.0.1", "--port", str(port), "--bytes", "16K"]
+        elif role == "server":
+            port = free_port()
+            feeder = feed_one_flow(port)
+            argv = ["--server", "--port", str(port)]
+        elif role == "kvbench":
+            use_tiny_kv_bench(monkeypatch)
+            argv = ["--kv", "put"]
+        else:
+            trace = tmp_path / "meter.csv"
+            trace.write_text("0,5\n1,5\n")
+            argv = ["--power-trace", str(trace)]
+        rc = main(argv + ["--out", str(tmp_path)], stream=io.StringIO(),
+                  flow_limit=1)
+        if feeder is not None:
+            feeder.join()
+        assert rc == 0
+        report = json.loads(next(tmp_path.glob(f"{role}-*.json")).read_text())
+        assert report["schema"] == 1
+        assert report["role"] == role
+        again = parse_args(report["argv"])
+        assert again.role == role
+        assert again.config.to_dict() == report["config"]
+        assert report["started_at"] <= report["ended_at"]
+
     def test_client_run_end_to_end(self, tcp_server, tmp_path, capsys):
         rc = main(["--client", "127.0.0.1", "--port", str(tcp_server.port),
                    "--bytes", "256K", "--length", "32K",
@@ -275,11 +347,7 @@ class TestMainRoles:
         assert "injected_cost_total" in stats
 
     def test_client_against_dead_port_fails(self, tmp_path):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        rc = main(["--client", "127.0.0.1", "--port", str(port),
+        rc = main(["--client", "127.0.0.1", "--port", str(free_port()),
                    "--bytes", "1K", "--out", str(tmp_path)])
         assert rc == 1
         report = json.loads(next(tmp_path.glob("client-*.json")).read_text())
@@ -318,24 +386,8 @@ class TestMainRoles:
             4 * 0.5, rel=0.2)
 
     def test_server_role_with_flow_limit(self, tmp_path):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
-        def feed():
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                try:
-                    sock = socket.create_connection(("127.0.0.1", port))
-                    sock.sendall(b"f" * 4096)
-                    sock.close()
-                    return
-                except OSError:
-                    time.sleep(0.05)
-
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
+        port = free_port()
+        feeder = feed_one_flow(port)
         out = io.StringIO()
         rc = main(["--server", "--port", str(port), "--out", str(tmp_path)],
                   stream=out, flow_limit=1)
@@ -361,18 +413,7 @@ class TestMainRoles:
             "teebench: trusted run failed with GENERIC\n")
 
     def test_kvbench_role_writes_series_and_csv(self, tmp_path, monkeypatch):
-        import teebench.cli as cli_mod
-
-        def tiny_bench(workload, shared_mode, execution, seed, switch_cost):
-            from teebench.kvbench import run_kv_bench
-
-            return run_kv_bench(workload, shared_mode=shared_mode,
-                                execution=execution, seed=seed,
-                                switch_cost=switch_cost, rates=(32768,))
-
-        monkeypatch.setattr(cli_mod, "run_kv_bench",
-                            lambda w, shared_mode, execution, seed, switch_cost:
-                            tiny_bench(w, shared_mode, execution, seed, switch_cost))
+        use_tiny_kv_bench(monkeypatch)
         rc = main(["--kv", "mix50", "--out", str(tmp_path)])
         assert rc == 0
         report_path = next(tmp_path.glob("kvbench-*.json"))
