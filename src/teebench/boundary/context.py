@@ -2,21 +2,29 @@
 
 A session talks to its trusted application over a channel. The
 "process" channel (the default) forks the application bare (``os.fork``)
-into its own process wired up with a control pipe plus shared memory.
-That process answers every request alike, and only the normal world
-ends it: closing the session kills and reaps it, and if the normal
-world dies the pipe's EOF ends it. The "inline" channel calls the same
+into its own process wired up with two header slots and shared memory.
+Each direction of the channel is a 32-byte header slot in one anonymous
+shared page plus a futex-backed semaphore that the writer posts. The
+semaphore is the C type ``_multiprocessing.SemLock``; ``src/`` does not
+use the ``multiprocessing`` package, and the semaphore's ``/dev/shm``
+name is unlinked inside its constructor. The trusted process
+answers every request alike, and only the normal world ends it: closing
+the session kills and reaps it. The normal world waits for a frame
+without a timeout; one watchdog thread per process waits on a pidfd of
+every live child and wakes the waiter of a child that died, which reads
+as a ``BoundaryError``. The trusted process waits with a timeout and
+exits once its parent is gone. The "inline" channel calls the same
 ``TrustedRuntime.dispatch`` in the calling process and exists for tests
 (``transport="inline"``).
 
 This is the one module that forks, so it alone decides what a forked
 child lets go of: a weak registry holds everything the normal world
 keeps for sessions (each allocated region, each session's scratch
-region and supplicant, each channel's pipe ends), and an at-fork hook
-calls ``release()`` on every entry in the child. The child thus holds
-only what its OPEN names, which it maps again through
+region and supplicant, each channel's slot page, semaphores and pidfd),
+and an at-fork hook calls ``release()`` on every entry in the child. The
+child thus holds only what its OPEN names, which it maps again through
 ``/proc/<ppid>/fd``; no later child keeps an earlier session's relayed
-socket or pipe open.
+socket or channel.
 
 Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
@@ -39,7 +47,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import mmap
 import os
+import select
 import signal
 import struct
 import sys
@@ -48,6 +58,8 @@ import traceback
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
+
+from _multiprocessing import SemLock
 
 from .. import clock
 from ..core import MIB, SharedMode, TA_MEMORY_LIMIT
@@ -59,6 +71,8 @@ from .errors import (
 )
 from .protocol import (
     CLOSE,
+    HEADER,
+    HEADER_SIZE,
     INVOKE,
     OPEN,
     RETURN,
@@ -67,9 +81,7 @@ from .protocol import (
     TeeResult,
     pack_invoke_body,
     pack_open_body,
-    read_message,
     unpack_values,
-    write_message,
 )
 from .regions import SharedRegion
 from .supplicant import Supplicant
@@ -82,8 +94,12 @@ REGION_CAP = 64 * MIB  # shared-region bytes one context may have outstanding
 _held = weakref.WeakSet()
 
 
-def _release_held() -> None:
-    """In a forked child, let go of everything the normal world holds."""
+def _after_fork_in_child() -> None:
+    """In a forked child, let go of everything the normal world holds and
+    start a watchdog of its own."""
+    global _watchdog
+    _watchdog.close()
+    _watchdog = _Watchdog()
     for item in list(_held):
         try:
             item.release()
@@ -91,7 +107,7 @@ def _release_held() -> None:
             pass
 
 
-os.register_at_fork(after_in_child=_release_held)
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 @dataclass
@@ -329,73 +345,199 @@ def _flush_stdio() -> None:
             pass
 
 
-def _trusted_process_main(rfd: int, wfd: int, scratch) -> None:
+# SemLock's kind code of a counting semaphore (multiprocessing.synchronize)
+_SEMAPHORE = 1
+_ORPHAN_POLL = 1.0  # seconds a trusted process waits before it checks its parent
+_EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT  # has it exited? leave it unreaped
+_semaphore_ids = itertools.count()
+
+# Bound once for the per-frame path.
+_pack_into = HEADER.pack_into
+_unpack_from = HEADER.unpack_from
+
+
+class _Port:
+    """One direction of a process channel: a 32-byte header slot in a page
+    both processes map, and a futex-backed semaphore (0 or 1) the writer
+    posts once the slot holds a frame.
+
+    The normal world waits on its port without a timeout; the watchdog
+    hangs the port up when the child dies. The trusted process sets
+    ``timeout`` and ``parent`` on its port, and each time its wait expires
+    it hangs the port up if ``parent`` is no longer its parent.
+    """
+
+    __slots__ = ("page", "at", "post", "wait", "timeout", "parent", "gone")
+
+    def __init__(self, page: mmap.mmap, at: int):
+        # the name is unlinked before the constructor returns
+        sem = SemLock(_SEMAPHORE, 0, 1,
+                      f"/teebench-{os.getpid()}-{next(_semaphore_ids)}", True)
+        self.page, self.at = page, at
+        self.post, self.wait = sem.release, sem.acquire
+        self.timeout = None
+        self.parent = 0
+        self.gone = False
+
+    def hang_up(self) -> None:
+        """Make every later read return None, waking a blocked one."""
+        self.gone = True
+        try:
+            self.post()
+        except ValueError:  # a frame is posted already; the reader wakes to it
+            pass
+
+
+# The process channel's framing. Both worlds look these names up in this
+# module, so a tracer that replaces them here sees every frame; they are
+# not ``protocol``'s pipe codec of the same names.
+
+def write_message(port: _Port, command: int, region_id: int = 0,
+                  offset: int = 0, length: int = 0, status: int = 0) -> None:
+    """Put one frame in the port's slot and wake its reader; a ValueError
+    if the reader has not taken the last one."""
+    _pack_into(port.page, port.at, command, region_id, offset, length, status)
+    port.post()
+
+
+def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
+    """Wait for the port's frame and return it as the bare header tuple,
+    fields in ``Message``'s order; None once the peer is gone."""
+    while not port.wait(True, port.timeout):  # only the trusted side's times out
+        if os.getppid() != port.parent:
+            port.hang_up()
+    if port.gone:
+        port.hang_up()  # the next read finds a post too
+        return None
+    return _unpack_from(port.page, port.at)
+
+
+class _Watchdog:
+    """Hangs up the port of a child that dies, so its reader gets None.
+
+    One thread per process, started with the first channel, waits in
+    ``epoll`` on a pidfd of every live child. The epoll fd is made with
+    the watchdog, at import, so no session leaves one behind; a forked
+    child gets a fresh watchdog, as the thread does not follow it there.
+    """
+
+    def __init__(self):
+        self._epoll = select.epoll()
+        self._ports: dict[int, _Port] = {}  # pidfd -> its child's frames
+        self._start = threading.Lock()
+        self._thread = None
+
+    def watch(self, pidfd: int, port: _Port) -> None:
+        self._ports[pidfd] = port
+        self._epoll.register(pidfd, select.EPOLLIN | select.EPOLLONESHOT)
+        with self._start:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="teebench-watchdog", daemon=True)
+                self._thread.start()
+
+    def forget(self, pidfd: int) -> None:
+        del self._ports[pidfd]
+        self._epoll.unregister(pidfd)
+
+    def close(self) -> None:
+        """Close this process's fd of the epoll; a forked child's copy
+        must not unregister what the parent's thread waits on."""
+        self._epoll.close()
+
+    def _run(self) -> None:
+        while True:
+            for pidfd, _ in self._epoll.poll():
+                port = self._ports.get(pidfd)
+                try:  # the fd may have been closed, or reused, since the poll
+                    exited = os.waitid(os.P_PIDFD, pidfd, _EXITED) is not None
+                except OSError:
+                    continue
+                if port is not None and exited:
+                    port.hang_up()
+
+
+_watchdog = _Watchdog()
+
+
+def _trusted_process_main(inbox: _Port, outbox: _Port, scratch) -> None:
     def rpc(command, region_id, offset, length, handle) -> int:
-        write_message(wfd, command, region_id, offset, length, handle)
-        reply = read_message(rfd)
+        write_message(outbox, command, region_id, offset, length, handle)
+        reply = read_message(inbox)
         if reply is None:
             raise BoundaryError("relay closed while waiting for a reply")
         return reply[4]  # status
 
     runtime = TrustedRuntime(rpc, scratch)
-    while (msg := read_message(rfd)) is not None:
+    while (msg := read_message(inbox)) is not None:
         status, length = runtime.dispatch(msg[0], msg[3])
         _flush_stdio()  # the parent may kill this process once it has this RETURN
-        write_message(wfd, RETURN, 0, 0, length, status)
+        write_message(outbox, RETURN, 0, 0, length, status)
 
 
 class _ProcessChannel:
-    """The trusted runtime in a bare forked process behind two pipes.
+    """The trusted runtime in a bare forked process behind two ports.
 
-    The parent's two pipe ends are registered before the fork, so every
-    child, this one included, closes them (held there, they would keep a
-    request pipe from EOF after the parent dies); ``close`` kills and
-    reaps the child. The child inherits the scratch descriptor and maps
-    the scratch before it reads its first request.
+    Both ports' slots share one anonymous shared page, made before the
+    fork with the semaphores. The channel is registered after the fork,
+    so only later children let go of it. ``close`` stops watching the
+    child, then kills and reaps it. The child inherits the scratch
+    descriptor and maps the scratch before it reads its first request.
     """
 
     def __init__(self, session: Session):
         self._serve = session._serve
         scratch = session._scratch.descriptor
-        to_child_r, self._wfd = os.pipe()
-        self._rfd, to_parent_w = os.pipe()
-        _held.add(self)
+        self._page = mmap.mmap(-1, 2 * HEADER_SIZE)
+        self._to_child = _Port(self._page, 0)
+        self._to_parent = _Port(self._page, HEADER_SIZE)
+        parent = os.getpid()
         _flush_stdio()  # else the child would write the parent's buffered output again
         self._pid = os.fork()
         if self._pid == 0:  # the child; it never returns from here
             try:
-                _trusted_process_main(to_child_r, to_parent_w, scratch)
+                inbox = self._to_child
+                inbox.timeout, inbox.parent = _ORPHAN_POLL, parent
+                _trusted_process_main(inbox, self._to_parent, scratch)
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
                 _flush_stdio()
             finally:
                 os._exit(1)
-        os.close(to_child_r)
-        os.close(to_parent_w)
+        try:
+            self._pidfd = os.pidfd_open(self._pid)
+        except BaseException:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            raise
+        _watchdog.watch(self._pidfd, self._to_parent)
+        _held.add(self)
 
     def exchange(self, command: int, length: int) -> tuple[int, int]:
         """Send one request, relaying the trusted side's calls until RETURN."""
-        rfd, wfd, serve = self._rfd, self._wfd, self._serve
+        to_child, to_parent, serve = self._to_child, self._to_parent, self._serve
         try:
-            write_message(wfd, command, 0, 0, length)
-            while (msg := read_message(rfd)) is not None:
+            write_message(to_child, command, 0, 0, length)
+            while (msg := read_message(to_parent)) is not None:
                 if msg[0] == RETURN:
                     return msg[4], msg[3]  # status, reply length
-                write_message(wfd, RETURN, 0, 0, 0, serve(msg))
-        except OSError:  # a write found the child gone (EPIPE)
+                write_message(to_child, RETURN, 0, 0, 0, serve(msg))
+        except ValueError:  # a second post the child never took: it is gone
             pass
         raise BoundaryError("trusted process terminated unexpectedly")
 
     def release(self) -> None:
-        """Close the parent's pipe ends; idempotent, so a stale fd number,
-        since reused, is never closed."""
-        for fd in (self._wfd, self._rfd):
-            if fd >= 0:
-                os.close(fd)
-        self._wfd = self._rfd = -1
+        """Close the pidfd, unmap the slot page and drop the semaphores;
+        idempotent, so a stale fd number, since reused, is never closed."""
+        if self._pidfd >= 0:
+            os.close(self._pidfd)
+            self._pidfd = -1
+        self._page.close()
+        self._to_child = self._to_parent = None
 
     def close(self) -> None:
+        _watchdog.forget(self._pidfd)  # before the kill, so it wakes nothing
         self.release()
         os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)

@@ -1,4 +1,4 @@
-"""Control-pipe wire protocol between the two worlds.
+"""Wire protocol between the two worlds.
 
 Every message is one fixed-width little-endian header and nothing else::
 
@@ -18,16 +18,19 @@ bytes are staged there: the OPEN and INVOKE bodies, the INVOKE reply's
 values, a relayed SOCK_SEND or SOCK_RECV payload and the packed
 arguments of a relayed SOCK_OPEN or SOCK_IOCTL. A relayed call names
 its bytes by (region_id, offset, length); OPEN, INVOKE and RETURN name
-the scratch implicitly. Each message delivered over the pipe is one
-world crossing.
+the scratch implicitly. Each message delivered is one world crossing.
 
-Sending a frame is one ``os.write`` of its 32 bytes, atomic on a pipe as
-it is under ``PIPE_BUF``; reading one is one ``os.read``. EOF reads as
-None, and a read shorter than a header is a ``BoundaryError``. The
-per-frame path is kept short because it runs twice per relayed call:
-``write_message`` takes the header fields positionally, and
-``read_message`` returns the unpacked header as the exact 5-tuple
-``struct`` builds, in ``Message``'s field order. An exact ``tuple`` is
+The process channel (``context``) carries a frame in a header slot of a
+page both worlds map, packed with ``HEADER.pack_into`` and read with
+``HEADER.unpack_from``. ``write_message`` and ``read_message`` here frame
+the same header on a pipe: sending is one ``os.write`` of its 32 bytes,
+atomic as it is under ``PIPE_BUF``, reading is one ``os.read``, EOF
+reads as None and a read shorter than a header is a ``BoundaryError``;
+the benchmark's frame probe and the tests use them. On both carriers
+the per-frame path is kept short because it runs twice per relayed
+call: the writer takes the header fields positionally, and the reader
+returns the unpacked header as the exact 5-tuple ``struct`` builds, in
+``Message``'s field order. An exact ``tuple`` is
 what CPython 3.11 specialises unpacking and indexing for; a ``Message``,
 a tuple subclass, would cost about 0.3 µs more to build and slow every
 unpack and index of it on both sides of the relay. ``Message`` names the

@@ -7,8 +7,8 @@ inheritance and the inline channel gets it from the session.
 ``dispatch`` turns each OPEN, INVOKE or CLOSE request into (status,
 reply length); the request is the given length of bytes at scratch
 offset 0, and an INVOKE's reply values are staged there. The forked
-process calls it once per pipe message and the inline channel calls it
-directly. Trusted application code never touches the OS directly.
+process calls it once per request frame and the inline channel calls
+it directly. Trusted application code never touches the OS directly.
 Everything it may use hangs off the TrustedEnv handed to its entry
 points: heap accounting against ``TA_MEMORY_LIMIT``, the relayed socket
 facade, shared-region views and the monotonic clock.

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import os
 import random
@@ -27,6 +28,7 @@ from teebench.boundary import (
     initialize_context,
     register_ta,
 )
+from teebench.boundary import context
 from teebench.boundary.protocol import Command, IoctlCode, Message, pack_ioctl_body
 from teebench.boundary.regions import SharedRegion
 from teebench.boundary.supplicant import OsSocket, Supplicant
@@ -1064,6 +1066,25 @@ def _fd_files(pid: int) -> set[tuple[int, int]]:
     return files
 
 
+def _mapping_inode(buffer) -> int:
+    """Inode of the mapping in this process that holds ``buffer``."""
+    anchor = ctypes.c_char.from_buffer(buffer)
+    address = ctypes.addressof(anchor)
+    del anchor  # else the buffer could not be closed
+    with open("/proc/self/maps") as f:
+        for line in f:
+            span, _, _, _, inode = line.split()[:5]
+            start, end = (int(a, 16) for a in span.split("-"))
+            if start <= address < end:
+                return int(inode)
+    raise LookupError(f"no mapping holds {address:#x}")
+
+
+def _sem_names() -> set[str]:
+    """POSIX semaphore names of the package; glibc keeps them in /dev/shm."""
+    return {n for n in os.listdir("/dev/shm") if n.startswith("sem.teebench")}
+
+
 def _file_id(fd: int) -> tuple[int, int]:
     st = os.fstat(fd)
     return st.st_dev, st.st_ino
@@ -1128,15 +1149,48 @@ class TestTrustedChild:
             first.invoke(1, values=(listener.getsockname()[1],))
             listener.accept()[0].close()
             relayed = first._supplicant._sockets[1].raw
-            held = {_file_id(fd) for fd in (relayed.fileno(), first._channel._wfd,
-                                             first._channel._rfd)}
+            held = {_file_id(fd) for fd in (relayed.fileno(), first._channel._pidfd)}
+            page = _mapping_inode(first._channel._page)
             second = ctx.open_session("probe")
             try:
                 assert held.isdisjoint(_fd_files(second._channel._pid))
+                assert page != 0  # a shared mapping; private ones read 0
+                assert _memfd_holds(second._channel._pid, page)[1] == 0
             finally:
                 first.close()
                 second.close()
                 ctx.finalize()
+
+    def test_no_semaphore_name_outlives_its_constructor(self):
+        ctx = initialize_context(transport="process")
+        session = ctx.open_session("probe")
+        during = _sem_names()
+        session.close()
+        ctx.finalize()
+        assert during == set() == _sem_names()
+
+    def test_a_child_killed_mid_invoke_is_a_boundary_error_within_a_second(self):
+        ctx = initialize_context(transport="process")
+        session = ctx.open_session("test-sleeper")
+        killed = []
+
+        def kill():
+            killed.append(time.monotonic())
+            os.kill(session._channel._pid, signal.SIGKILL)
+
+        timer = threading.Timer(0.2, kill)
+        timer.start()
+        try:
+            with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+                session.invoke(1, values=(30_000,))
+            raised = time.monotonic()
+        finally:
+            timer.join()
+        assert raised - killed[0] < 1.0
+        with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+            session.close()
+        ctx.finalize()
+        # the autouse fixture checks that the child was reaped
 
     def test_each_world_writes_its_output_once(self):
         src = os.path.dirname(os.path.dirname(teebench.__file__))
@@ -1180,6 +1234,31 @@ class TestNormalWorldDeath:
             run.kill()
             run.wait()
             run.stdout.close()
+
+
+class TestTrustedProcessOrphaned:
+    def test_a_grandchild_outlives_its_forked_normal_world_by_one_poll(self):
+        # a forked helper opens a session and dies without closing it
+        r, w = os.pipe()
+        helper = os.fork()
+        if helper == 0:
+            try:
+                os.close(r)
+                session = initialize_context(
+                    transport="process").open_session("probe")
+                os.write(w, b"%d" % session._channel._pid)
+            finally:
+                os._exit(0)
+        os.close(w)
+        try:
+            grandchild = int(os.read(r, 64))
+        finally:
+            os.close(r)
+            os.waitpid(helper, 0)
+        deadline = time.monotonic() + context._ORPHAN_POLL + 1.0
+        while not _gone_or_zombie(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _gone_or_zombie(grandchild), "trusted process outlived its parent"
 
 
 def _relay_args(supplicant, command, handle, args):
