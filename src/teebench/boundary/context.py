@@ -9,11 +9,11 @@ semaphore is the C type ``_multiprocessing.SemLock``; ``src/`` does not
 use the ``multiprocessing`` package, and the semaphore's ``/dev/shm``
 name is unlinked inside its constructor. The trusted process
 answers every request alike, and only the normal world ends it: closing
-the session kills and reaps it. The normal world waits for a frame
-without a timeout; one watchdog thread per process waits on a pidfd of
-every live child and wakes the waiter of a child that died, which reads
-as a ``BoundaryError``. The trusted process waits with a timeout and
-exits once its parent is gone. The "inline" channel calls the same
+the session kills and reaps it. Neither world waits with a timeout: one
+watchdog thread per process waits on a pidfd of each live child, or of a
+trusted process's parent, and wakes the waiter of one that died. So a
+dead child reads as a ``BoundaryError`` and an orphan exits. The
+"inline" channel calls the same
 ``TrustedRuntime.dispatch`` in the calling process and exists for tests
 (``transport="inline"``).
 
@@ -45,6 +45,7 @@ totals and every live session on read.
 
 from __future__ import annotations
 
+import _thread
 import dataclasses
 import itertools
 import mmap
@@ -98,7 +99,7 @@ def _after_fork_in_child() -> None:
     """In a forked child, let go of everything the normal world holds and
     start a watchdog of its own."""
     global _watchdog
-    _watchdog.close()
+    _watchdog._epoll.close()  # unregistering in the copy would hit the parent's
     _watchdog = _Watchdog()
     for item in list(_held):
         try:
@@ -347,7 +348,6 @@ def _flush_stdio() -> None:
 
 # SemLock's kind code of a counting semaphore (multiprocessing.synchronize)
 _SEMAPHORE = 1
-_ORPHAN_POLL = 1.0  # seconds a trusted process waits before it checks its parent
 _EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT  # has it exited? leave it unreaped
 _semaphore_ids = itertools.count()
 
@@ -361,13 +361,11 @@ class _Port:
     both processes map, and a futex-backed semaphore (0 or 1) the writer
     posts once the slot holds a frame.
 
-    The normal world waits on its port without a timeout; the watchdog
-    hangs the port up when the child dies. The trusted process sets
-    ``timeout`` and ``parent`` on its port, and each time its wait expires
-    it hangs the port up if ``parent`` is no longer its parent.
+    Its reader waits without a timeout; the watchdog hangs the port up
+    when the process at the other end dies.
     """
 
-    __slots__ = ("page", "at", "post", "wait", "timeout", "parent", "gone")
+    __slots__ = ("page", "at", "post", "wait", "gone")
 
     def __init__(self, page: mmap.mmap, at: int):
         # the name is unlinked before the constructor returns
@@ -375,8 +373,6 @@ class _Port:
                       f"/teebench-{os.getpid()}-{next(_semaphore_ids)}", True)
         self.page, self.at = page, at
         self.post, self.wait = sem.release, sem.acquire
-        self.timeout = None
-        self.parent = 0
         self.gone = False
 
     def hang_up(self) -> None:
@@ -403,9 +399,7 @@ def write_message(port: _Port, command: int, region_id: int = 0,
 def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
     """Wait for the port's frame and return it as the bare header tuple,
     fields in ``Message``'s order; None once the peer is gone."""
-    while not port.wait(True, port.timeout):  # only the trusted side's times out
-        if os.getppid() != port.parent:
-            port.hang_up()
+    port.wait()
     if port.gone:
         port.hang_up()  # the next read finds a post too
         return None
@@ -413,37 +407,39 @@ def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
 
 
 class _Watchdog:
-    """Hangs up the port of a child that dies, so its reader gets None.
+    """Hangs up the port of a peer process that dies, so its reader gets
+    None: a child of the normal world, or the parent of a trusted process.
 
-    One thread per process, started with the first channel, waits in
-    ``epoll`` on a pidfd of every live child. The epoll fd is made with
+    One thread per process, started with the first watch, waits in
+    ``epoll`` on a pidfd of every watched peer. The epoll fd is made with
     the watchdog, at import, so no session leaves one behind; a forked
     child gets a fresh watchdog, as the thread does not follow it there.
     """
 
     def __init__(self):
         self._epoll = select.epoll()
-        self._ports: dict[int, _Port] = {}  # pidfd -> its child's frames
+        self._ports: dict[int, _Port] = {}  # pidfd -> its peer's frames
         self._start = threading.Lock()
-        self._thread = None
+        self._ident = None  # of the thread, once started
 
-    def watch(self, pidfd: int, port: _Port) -> None:
+    def watch(self, pid: int, port: _Port) -> int:
+        """Hang ``port`` up once process ``pid`` exits and return the pidfd
+        that ``forget`` takes; a ProcessLookupError if ``pid`` is reaped."""
+        with self._start:  # a bare thread: Thread.start() waits for it to run
+            if self._ident is None:
+                self._ident = _thread.start_new_thread(self._run, ())
+        pidfd = os.pidfd_open(pid)
         self._ports[pidfd] = port
-        self._epoll.register(pidfd, select.EPOLLIN | select.EPOLLONESHOT)
-        with self._start:
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="teebench-watchdog", daemon=True)
-                self._thread.start()
+        try:
+            self._epoll.register(pidfd, select.EPOLLIN | select.EPOLLONESHOT)
+        except BaseException:  # the next watch of this fd number replaces the entry
+            os.close(pidfd)
+            raise
+        return pidfd
 
     def forget(self, pidfd: int) -> None:
         del self._ports[pidfd]
         self._epoll.unregister(pidfd)
-
-    def close(self) -> None:
-        """Close this process's fd of the epoll; a forked child's copy
-        must not unregister what the parent's thread waits on."""
-        self._epoll.close()
 
     def _run(self) -> None:
         while True:
@@ -451,8 +447,8 @@ class _Watchdog:
                 port = self._ports.get(pidfd)
                 try:  # the fd may have been closed, or reused, since the poll
                     exited = os.waitid(os.P_PIDFD, pidfd, _EXITED) is not None
-                except OSError:
-                    continue
+                except OSError as exc:  # ECHILD: a parent's pidfd, never reused
+                    exited = isinstance(exc, ChildProcessError)
                 if port is not None and exited:
                     port.hang_up()
 
@@ -480,9 +476,10 @@ class _ProcessChannel:
 
     Both ports' slots share one anonymous shared page, made before the
     fork with the semaphores. The channel is registered after the fork,
-    so only later children let go of it. ``close`` stops watching the
-    child, then kills and reaps it. The child inherits the scratch
-    descriptor and maps the scratch before it reads its first request.
+    so only later children let go of it. Each side watches the other, and
+    a child whose parent died before its watch exits. ``close`` stops
+    watching the child, then kills and reaps it. The child inherits the
+    scratch descriptor and maps the scratch before its first request.
     """
 
     def __init__(self, session: Session):
@@ -496,9 +493,11 @@ class _ProcessChannel:
         self._pid = os.fork()
         if self._pid == 0:  # the child; it never returns from here
             try:
-                inbox = self._to_child
-                inbox.timeout, inbox.parent = _ORPHAN_POLL, parent
-                _trusted_process_main(inbox, self._to_parent, scratch)
+                _watchdog.watch(parent, self._to_child)
+                if os.getppid() == parent:  # else it died before the watch
+                    _trusted_process_main(self._to_child, self._to_parent, scratch)
+                os._exit(0)
+            except ProcessLookupError:  # the parent was reaped before the watch
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
@@ -506,12 +505,11 @@ class _ProcessChannel:
             finally:
                 os._exit(1)
         try:
-            self._pidfd = os.pidfd_open(self._pid)
+            self._pidfd = _watchdog.watch(self._pid, self._to_parent)
         except BaseException:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             raise
-        _watchdog.watch(self._pidfd, self._to_parent)
         _held.add(self)
 
     def exchange(self, command: int, length: int) -> tuple[int, int]:

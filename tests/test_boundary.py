@@ -1237,7 +1237,7 @@ class TestNormalWorldDeath:
 
 
 class TestTrustedProcessOrphaned:
-    def test_a_grandchild_outlives_its_forked_normal_world_by_one_poll(self):
+    def test_a_grandchild_exits_within_half_a_second_of_its_normal_world(self):
         # a forked helper opens a session and dies without closing it
         r, w = os.pipe()
         helper = os.fork()
@@ -1255,10 +1255,52 @@ class TestTrustedProcessOrphaned:
         finally:
             os.close(r)
             os.waitpid(helper, 0)
-        deadline = time.monotonic() + context._ORPHAN_POLL + 1.0
+        deadline = time.monotonic() + 0.5
         while not _gone_or_zombie(grandchild) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert _gone_or_zombie(grandchild), "trusted process outlived its parent"
+
+    @pytest.mark.parametrize("cause", ["pidfd_open", "getppid"])
+    def test_a_child_whose_parent_is_gone_before_the_watch_exits_quietly(
+            self, monkeypatch, capfd, cause):
+        # in the child only: the parent is already reaped, or reparented away
+        me, pidfd_open, getppid = os.getpid(), os.pidfd_open, os.getppid
+
+        def gone_pidfd_open(pid, *args):
+            if os.getpid() != me:
+                raise ProcessLookupError(errno.ESRCH, "No such process")
+            return pidfd_open(pid, *args)
+
+        def reparented_getppid():
+            return getppid() if os.getpid() == me else 1
+
+        if cause == "pidfd_open":
+            monkeypatch.setattr(os, "pidfd_open", gone_pidfd_open)
+        else:
+            monkeypatch.setattr(os, "getppid", reparented_getppid)
+        ctx = initialize_context(transport="process")
+        with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+            ctx.open_session("probe")
+        ctx.finalize()
+        assert "Traceback" not in capfd.readouterr().err
+        # the autouse fixture checks that the child was reaped
+
+
+class TestWatchdogRegistration:
+    def test_a_failed_registration_kills_and_reaps_the_child(self, monkeypatch):
+        me, watch = os.getpid(), context._Watchdog.watch
+
+        def failing_watch(self, *args):
+            if os.getpid() == me:
+                raise RuntimeError("can't start new thread")
+            return watch(self, *args)
+
+        monkeypatch.setattr(context._Watchdog, "watch", failing_watch)
+        ctx = initialize_context(transport="process")
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            ctx.open_session("probe")
+        ctx.finalize()
+        # the autouse fixture checks that no child is left, live or unreaped
 
 
 def _relay_args(supplicant, command, handle, args):

@@ -11,9 +11,7 @@ trips of a 32-byte header, one of two ways:
   frame);
 - ``slot``: the process channel's ports, framed by
   ``context.write_message`` and ``context.read_message``: each direction
-  is a header slot in one shared page and a semaphore, the parent waits
-  without a timeout and the echo process with the trusted side's timed
-  wait.
+  is a header slot in one shared page and a semaphore.
 
 Repetitions alternate between the two ways, so a drift of the host falls
 on both. The summary gives each way's median and range of µs per round
@@ -73,8 +71,6 @@ def slot_rtt_us(rounds: int) -> float:
     page = mmap.mmap(-1, 2 * HEADER_SIZE)
     ping, pong = context._Port(page, 0), context._Port(page, HEADER_SIZE)
     write, read = context.write_message, context.read_message
-    # the echo process's wait, as the trusted side's; the parent never reads ping
-    ping.timeout, ping.parent = context._ORPHAN_POLL, os.getpid()
     try:
         return _timed(rounds, lambda: write(ping, RETURN), lambda: read(pong),
                       lambda: write(pong, *read(ping)))
