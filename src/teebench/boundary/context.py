@@ -7,15 +7,20 @@ Each direction of the channel is a 32-byte header slot in one anonymous
 shared page plus a futex-backed semaphore that the writer posts. The
 semaphore is the C type ``_multiprocessing.SemLock``; ``src/`` does not
 use the ``multiprocessing`` package, and the semaphore's ``/dev/shm``
-name is unlinked inside its constructor. The trusted process
-answers every request alike, and only the normal world ends it: closing
-the session kills and reaps it. Neither world waits with a timeout: one
-watchdog thread per process waits on a pidfd of each live child, or of a
-trusted process's parent, and wakes the waiter of one that died. So a
-dead child reads as a ``BoundaryError`` and an orphan exits. The
-"inline" channel calls the same
-``TrustedRuntime.dispatch`` in the calling process and exists for tests
-(``transport="inline"``).
+name is unlinked inside its constructor. A reader takes a posted frame
+at once; else it yields its core up to a fixed number of times, taking a
+frame posted meanwhile, and only then sleeps on the semaphore. Pinned to
+one core, as the bench pins both worlds, each yield runs the peer, so a
+crossing hands the core over as a TrustZone SMC does, and the writer's
+post wakes no sleeper; unpinned, the peer runs on another core while the
+reader yields. The trusted process answers every request alike, and only
+the normal world ends it: closing the session kills and reaps it.
+Neither world waits with a timeout: one watchdog thread per process
+waits on a pidfd of each live child, or of a trusted process's parent,
+and wakes the waiter of one that died. So a dead child reads as a
+``BoundaryError`` and an orphan exits. The "inline" channel calls the
+same ``TrustedRuntime.dispatch`` in the calling process and exists for
+tests (``transport="inline"``).
 
 This is the one module that forks, so it alone decides what a forked
 child lets go of: a weak registry holds everything the normal world
@@ -354,6 +359,15 @@ _semaphore_ids = itertools.count()
 # Bound once for the per-frame path.
 _pack_into = HEADER.pack_into
 _unpack_from = HEADER.unpack_from
+_yield = os.sched_yield
+
+# How many times a reader with no frame yields its core before it sleeps.
+# On the one core the bench pins both worlds to, each yield runs the peer,
+# so a crossing costs a yield and a switch, not a futex sleep and wake-up.
+# Unpinned, the peer runs on another core: 64 yields (about 0.4 us each
+# when nothing else wants the core) outlast a relayed call's round trip,
+# where 4 did not, and cap what a reader burns while its peer is idle.
+_YIELDS = 64
 
 
 class _Port:
@@ -361,8 +375,9 @@ class _Port:
     both processes map, and a futex-backed semaphore (0 or 1) the writer
     posts once the slot holds a frame.
 
-    Its reader waits without a timeout; the watchdog hangs the port up
-    when the process at the other end dies.
+    Its reader takes a posted frame, else yields, else sleeps on the
+    semaphore without a timeout (``read_message``); the watchdog hangs the
+    port up when the process at the other end dies.
     """
 
     __slots__ = ("page", "at", "post", "wait", "gone")
@@ -397,9 +412,22 @@ def write_message(port: _Port, command: int, region_id: int = 0,
 
 
 def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
-    """Wait for the port's frame and return it as the bare header tuple,
-    fields in ``Message``'s order; None once the peer is gone."""
-    port.wait()
+    """Take the port's frame and return it as the bare header tuple,
+    fields in ``Message``'s order; None once the peer is gone.
+
+    A frame posted already is taken at once. Otherwise the reader yields
+    its core and tries again, up to ``_YIELDS`` times, and only then
+    sleeps on the semaphore, so a writer whose reader spins makes no
+    ``futex_wake`` call.
+    """
+    take = port.wait
+    if not take(False):
+        for _ in range(_YIELDS):
+            _yield()
+            if take(False):
+                break
+        else:
+            take()
     if port.gone:
         port.hang_up()  # the next read finds a post too
         return None

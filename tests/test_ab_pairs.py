@@ -101,3 +101,64 @@ def test_summary_gives_each_sides_quartiles_of_the_bases(ab_pairs):
     assert bases["direct_goodput_MBps"] == {"parent": None,
                                             "change": (200.0, 210.0, 220.0)}
     assert "server.receive_calls" not in bases
+
+
+def _pairs(parent, change, name="slowdown_x"):
+    return [(_result(**{name: p}), _result(**{name: c}))
+            for p, c in zip(parent, change)]
+
+
+_PARENT = [2.90, 2.92, 2.94, 2.96, 2.98, 3.00, 3.02, 3.04, 3.06, 3.08]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(ab_pairs):
+    change = [p - 0.15 for p in _PARENT]             # 10/10, gap 0.15 > IQR
+    summary = ab_pairs.summarize(_pairs(_PARENT, change), {"slowdown_x": "lower"},
+                                 {"slowdown_x": 0.17})["metrics"]
+    assert summary["slowdown_x"]["verdict"] == "gain"
+
+    eight = change[:8] + [p + 0.01 for p in _PARENT[8:]]   # 8/10 wins
+    assert ab_pairs.verdict(_PARENT, eight, 8, "lower", 0.17) == "no worse"
+    nine = change[:9] + [_PARENT[9]]                 # 9/10, the tie is no win
+    assert ab_pairs.verdict(_PARENT, nine, 9, "lower", 0.17) == "gain"
+    close = [p - 0.01 for p in _PARENT]              # 10/10, gap inside the IQR
+    assert ab_pairs.verdict(_PARENT, close, 10, "lower", 0.17) == "no worse"
+
+
+def test_a_gain_follows_the_declared_direction(ab_pairs):
+    higher = [p + 0.15 for p in _PARENT]
+    summary = ab_pairs.summarize(_pairs(_PARENT, higher, "goodput"),
+                                 {"goodput": "higher"}, {"goodput": 0.17})
+    assert summary["metrics"]["goodput"]["verdict"] == "gain"
+    assert ab_pairs.verdict(_PARENT, higher, 0, "lower", 0.17) == "no worse"
+
+
+def test_a_median_past_the_bound_is_worse(ab_pairs):
+    worse = [p * 1.2 for p in _PARENT]
+    assert ab_pairs.verdict(_PARENT, worse, 0, "lower", 0.17) == "worse"
+    assert ab_pairs.verdict(_PARENT, worse, 10, "higher", 0.17) == "gain"
+    within = [p * 1.1 for p in _PARENT]
+    assert ab_pairs.verdict(_PARENT, within, 0, "lower", 0.17) == "no worse"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(ab_pairs):
+    wide = [2.0, 2.4, 2.8, 3.2, 3.6, 4.0, 4.4, 4.8, 5.2, 5.6]   # IQR/median ~ 0.5
+    tight = [3.5 + i * 0.01 for i in range(10)]
+    assert ab_pairs.verdict(wide, tight, 5, "lower", 0.17) == "unresolved"
+    assert ab_pairs.verdict(tight, wide, 5, "lower", 0.17) == "unresolved"
+    # unless every run of the change is better than every run of the
+    # parent; here by less than the parent's IQR, so it is no gain either
+    skewed = [3.0, 3.0, 3.0, 3.0, 3.0, 3.1, 4.0, 5.0, 6.0, 7.0]
+    below = [2.9] * 10
+    assert ab_pairs.verdict(skewed, below, 10, "lower", 0.17) == "no worse"
+    assert ab_pairs.verdict(skewed, below[:9] + [3.0], 9, "lower",
+                            0.17) == "unresolved"
+
+
+def test_verdicts_come_only_with_bounds(ab_pairs):
+    summary = ab_pairs.summarize(_pairs(_PARENT, _PARENT),
+                                 {"slowdown_x": "lower"})["metrics"]
+    assert "verdict" not in summary["slowdown_x"]
+    summary = ab_pairs.summarize(_pairs(_PARENT, _PARENT), {"slowdown_x": "lower"},
+                                 {"slowdown_x": 0.17})["metrics"]
+    assert summary["slowdown_x"]["verdict"] == "no worse"

@@ -1,5 +1,6 @@
 import ctypes
 import errno
+import mmap
 import os
 import random
 import signal
@@ -29,7 +30,14 @@ from teebench.boundary import (
     register_ta,
 )
 from teebench.boundary import context
-from teebench.boundary.protocol import Command, IoctlCode, Message, pack_ioctl_body
+from teebench.boundary.protocol import (
+    HEADER_SIZE,
+    RETURN,
+    Command,
+    IoctlCode,
+    Message,
+    pack_ioctl_body,
+)
 from teebench.boundary.regions import SharedRegion
 from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
@@ -1301,6 +1309,67 @@ class TestWatchdogRegistration:
             ctx.open_session("probe")
         ctx.finalize()
         # the autouse fixture checks that no child is left, live or unreaped
+
+
+class TestPortHandoff:
+    """A read takes a posted frame at once; else it yields its core up to
+    ``_YIELDS`` times, taking a frame posted meanwhile, and only then
+    sleeps on the semaphore."""
+
+    @pytest.fixture
+    def port(self):
+        page = mmap.mmap(-1, HEADER_SIZE)
+        yield context._Port(page, 0)
+        page.close()
+
+    @pytest.fixture
+    def yields(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(context, "_yield", lambda: counted.append(None))
+        return counted
+
+    def test_a_posted_frame_is_taken_without_a_yield(self, port, yields):
+        context.write_message(port, RETURN, 1, 2, 3, 4)
+        assert context.read_message(port) == (RETURN, 1, 2, 3, 4)
+        assert yields == []
+
+    def test_with_no_post_the_read_yields_the_bound_then_sleeps(self, port,
+                                                                yields):
+        asleep, take = threading.Event(), port.wait
+
+        def wait(block=True):
+            if block:
+                asleep.set()
+            return take(block)
+
+        port.wait = wait
+        writer = threading.Thread(target=lambda: (
+            asleep.wait(10), context.write_message(port, RETURN, 0, 0, 7, 9)))
+        writer.start()
+        assert context.read_message(port) == (RETURN, 0, 0, 7, 9)
+        writer.join(10)
+        assert not writer.is_alive()
+        assert asleep.is_set()
+        assert len(yields) == context._YIELDS
+
+    def test_a_hang_up_during_the_yields_ends_this_read_and_the_next(
+            self, port, monkeypatch):
+        yields = []
+
+        def yield_then_hang_up():
+            yields.append(None)
+            if len(yields) == 3:
+                port.hang_up()
+
+        monkeypatch.setattr(context, "_yield", yield_then_hang_up)
+        backstop = threading.Timer(10, port.hang_up)  # a read that never yields
+        backstop.start()
+        try:
+            assert context.read_message(port) is None
+            assert context.read_message(port) is None
+        finally:
+            backstop.cancel()
+        assert len(yields) == 3  # the second read found the post at once
 
 
 def _relay_args(supplicant, command, handle, args):

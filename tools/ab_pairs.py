@@ -19,6 +19,19 @@ side's quartiles of the run medians of the goodputs and of
 ``server.receive_calls`` that each untraced run prints, so a ratio that
 moved because its denominator moved reads as such. A run whose result
 line is missing or does not read ``correct: true`` is flagged.
+
+Each metric also gets a verdict against its ``bound`` in
+``BENCHMARK.json``, read as a fraction of the parent's median; a side's
+spread is its interquartile range over its median. In this order:
+
+- ``gain``: the change won at least nine tenths of all pairs (a tie is
+  no win) and its median is better than the parent's by more than the
+  parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more
+  than the bound;
+- ``unresolved``: either side's spread is wider than the bound, unless
+  every run of the change is better than every run of the parent;
+- ``no worse``: otherwise.
 """
 
 from __future__ import annotations
@@ -84,11 +97,33 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
-def summarize(pairs: list[tuple[dict, dict]],
-              better: dict[str, str]) -> dict[str, dict]:
+def verdict(parent: list[float], change: list[float], wins: int,
+            direction: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``no worse`` for one metric,
+    as the module docstring defines them; ``parent`` and ``change`` are
+    the values of the same pairs, ``wins`` how many the change won."""
+    sign = -1 if direction == "lower" else 1
+    p1, p_med, p3 = _quartiles(parent)
+    c1, c_med, c3 = _quartiles(change)
+    gap = sign * (c_med - p_med)  # > 0 when the change's median is better
+    if wins >= 0.9 * len(parent) and gap > p3 - p1:
+        return "gain"
+    if gap < -bound * p_med:
+        return "worse"
+    spread = max((p3 - p1) / p_med if p_med else math.inf,
+                 (c3 - c1) / c_med if c_med else math.inf)
+    if spread > bound and not all(sign * (c - p) > 0
+                                  for c in change for p in parent):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """Under "metrics", per metric: each side's (q1, median, q3), the
-    change's wins and losses over the pairs, their sign-test p-value and
-    the change of the median relative to the parent's. Under "ops", per
+    change's wins and losses over the pairs, their sign-test p-value, the
+    change of the median relative to the parent's and, for a metric
+    ``bounds`` names, its ``verdict``. Under "ops", per
     side: its ``failed`` and ``attempted`` operations summed over all its
     runs.
     Under "bases", per base a run carried: each side's (q1, median, q3)
@@ -127,6 +162,10 @@ def summarize(pairs: list[tuple[dict, dict]],
             "wins": wins, "losses": losses, "p": sign_test_p(wins, losses),
             "median_delta": change[1] / parent[1] - 1 if parent[1] else None,
         }
+        if bounds and name in bounds:
+            out[name]["verdict"] = verdict([p for p, _ in both],
+                                           [c for _, c in both], wins,
+                                           direction, bounds[name])
     return {"metrics": out, "ops": ops, "bases": bases}
 
 
@@ -147,6 +186,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs, flagged = [], []
     for seed in args.seeds:
@@ -164,15 +204,15 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, {len(pairs)} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<12} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
-          f"{'median':>8} {'wins':>6} {'p':>8}")
-    summary = summarize(pairs, better)
+          f"{'median':>8} {'wins':>6} {'p':>8}  verdict")
+    summary = summarize(pairs, better, bounds)
     for name, s in summary["metrics"].items():
         p = "/".join(f"{v:.4g}" for v in s["parent"])
         c = "/".join(f"{v:.4g}" for v in s["change"])
         delta = (f"{s['median_delta']:+.1%}" if s["median_delta"] is not None
                  else "n/a")
         print(f"{name:<12} {p:>28} {c:>28} {delta:>8} "
-              f"{s['wins']:>3}/{s['n']} {s['p']:>8.4g}")
+              f"{s['wins']:>3}/{s['n']} {s['p']:>8.4g}  {s['verdict']}")
     print(f"{'base':<20} {'parent q1/med/q3':>28} {'change q1/med/q3':>28}")
     for name, s in summary["bases"].items():
         p, c = ("/".join(f"{v:.4g}" for v in q) if q else "n/a"

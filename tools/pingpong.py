@@ -2,9 +2,8 @@
 
     python3 tools/pingpong.py --rounds 20000 --reps 7
 
-Pins this process, and the echo process each repetition forks, to one
-core, as ``bench/run.py`` does. Each repetition times ``--rounds`` round
-trips of a 32-byte header, one of two ways:
+Each repetition times ``--rounds`` round trips of a 32-byte header
+between this process and an echo process it forks, one of two ways:
 
 - ``pipe``: a pair of pipes, framed by ``protocol.write_message`` and
   ``protocol.read_message`` (one ``os.write`` and one ``os.read`` per
@@ -13,9 +12,14 @@ trips of a 32-byte header, one of two ways:
   ``context.write_message`` and ``context.read_message``: each direction
   is a header slot in one shared page and a semaphore.
 
-Repetitions alternate between the two ways, so a drift of the host falls
-on both. The summary gives each way's median and range of µs per round
-trip over the repetitions, and the slot's median over the pipe's.
+Each way runs pinned, both processes on one core as ``bench/run.py``
+pins them, and the slot also runs unpinned, on every core this process
+may use, where a reader's yields before it sleeps overlap the peer's
+work on another core instead of handing it the core. Repetitions
+alternate the order of the legs, so a drift of the host falls on all of
+them, and this process's cores are restored after. The summary gives
+each leg's median and range of µs per round trip over the repetitions,
+and the pinned slot's median over the pinned pipe's.
 """
 
 from __future__ import annotations
@@ -79,15 +83,23 @@ def slot_rtt_us(rounds: int) -> float:
 
 
 WAYS = {"pipe": pipe_rtt_us, "slot": slot_rtt_us}
+LEGS = (("pipe", "pinned"), ("slot", "pinned"), ("slot", "unpinned"))
 
 
-def measure(rounds: int, reps: int) -> dict[str, list[float]]:
-    """µs per round trip of each way, one figure per repetition."""
-    out = {name: [] for name in WAYS}
-    for rep in range(reps):
-        order = list(WAYS) if rep % 2 == 0 else list(reversed(WAYS))
-        for name in order:
-            out[name].append(WAYS[name](rounds))
+def measure(rounds: int, reps: int) -> dict[tuple[str, str], list[float]]:
+    """µs per round trip of each (way, placement) leg, one figure per
+    repetition. A pinned leg runs on the highest of this process's cores,
+    an unpinned one on all of them."""
+    home = os.sched_getaffinity(0)
+    cores = {"pinned": {max(home)}, "unpinned": home}
+    out = {leg: [] for leg in LEGS}
+    try:
+        for rep in range(reps):
+            for way, placement in LEGS if rep % 2 == 0 else reversed(LEGS):
+                os.sched_setaffinity(0, cores[placement])  # the echo inherits it
+                out[way, placement].append(WAYS[way](rounds))
+    finally:
+        os.sched_setaffinity(0, home)
     return out
 
 
@@ -96,15 +108,16 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20000)
     parser.add_argument("--reps", type=int, default=7)
     args = parser.parse_args(argv)
-    cpu = max(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
+    home = sorted(os.sched_getaffinity(0))
     results = measure(args.rounds, args.reps)
-    print(f"{args.reps} reps of {args.rounds} round trips, pinned to cpu {cpu}")
-    for name, values in results.items():
-        print(f"{name:<5} median {statistics.median(values):.3f} us "
+    print(f"{args.reps} reps of {args.rounds} round trips, pinned to cpu "
+          f"{home[-1]}, unpinned on cpus {','.join(map(str, home))}")
+    for (way, placement), values in results.items():
+        print(f"{way:<5} {placement:<9} median {statistics.median(values):.3f} us "
               f"(min {min(values):.3f}, max {max(values):.3f})")
-    ratio = statistics.median(results["slot"]) / statistics.median(results["pipe"])
-    print(f"slot/pipe {ratio:.3f}")
+    ratio = (statistics.median(results["slot", "pinned"])
+             / statistics.median(results["pipe", "pinned"]))
+    print(f"slot/pipe pinned {ratio:.3f}")
     return 0
 
 
