@@ -18,9 +18,9 @@ the normal world ends it: closing the session kills and reaps it.
 Neither world waits with a timeout: one watchdog thread per process
 waits on a pidfd of each live child, or of a trusted process's parent,
 and wakes the waiter of one that died. So a dead child reads as a
-``BoundaryError`` and an orphan exits. The "inline" channel calls the
-same ``TrustedRuntime.dispatch`` in the calling process and exists for
-tests (``transport="inline"``).
+``BoundaryError`` and an orphan exits. The "inline" channel
+(``transport="inline"``) calls the same ``TrustedRuntime.dispatch`` in
+the calling process; the tests and the benchmark's inline probes use it.
 
 This is the one module that forks, so it alone decides what a forked
 child lets go of: a weak registry holds everything the normal world
@@ -35,9 +35,19 @@ Every message between the two worlds is one world crossing and one
 injection of ``switch_cost`` wall time, both done by ``Session._cross``
 and nowhere else: a relayed socket call costs two crossings and an
 open/invoke/close costs two. A message is a bare header; ``Session._call``
-stages an OPEN or INVOKE body in the session scratch region at window
-offset 0 before it crosses, and ``invoke`` reads the reply values from
-there, bounds-checked, since their length comes from the trusted side.
+stages the request in the session scratch region at window offset 0
+before it crosses. An OPEN or INVOKE stages one fixed operation
+(``protocol``): a TA command, a parameter-types word and four
+parameters, each a value of up to three u64s or a memory reference
+whose six fields (region id, owner pid, fd, size, window) are u32s;
+OPEN appends the TA name. Every region a call names is described in
+full on every call, so no world keeps registration state, and a
+released region is a ``RegionFault`` before anything crosses, as more
+than four parameters or a value that is not a u64 is a ``ValueError``.
+``invoke`` reads the reply, an operation of values only, from the
+scratch, bounds-checked since its length comes from the trusted side; a
+reply of length 0 holds no values, and one that does not decode is a
+``BoundaryError``.
 The caller's thread stays blocked for the whole invocation; it is the
 thread that services the trusted side's relayed calls.
 
@@ -87,7 +97,7 @@ from .protocol import (
     TeeResult,
     pack_invoke_body,
     pack_open_body,
-    unpack_values,
+    unpack_invoke_body,
 )
 from .regions import SharedRegion
 from .supplicant import Supplicant
@@ -310,9 +320,11 @@ class Session:
             )
             status, length = self._call(INVOKE, body)
             result = _tee_result(status)
+            if not length:  # nothing staged, as after a trusted exception
+                return InvokeResult(result, ())
             try:
-                values = unpack_values(self._scratch.window_read(0, length))
-            except struct.error as exc:
+                values = unpack_invoke_body(self._scratch.window_read(0, length))[2]
+            except (struct.error, ValueError) as exc:
                 raise BoundaryError(f"malformed INVOKE reply: {exc}") from None
             return InvokeResult(result, values)
         finally:

@@ -14,11 +14,34 @@ No frame carries a body. As on OP-TEE, where a call's arguments sit in
 shared memory (``struct optee_msg_arg``) and the SMC carries only a
 reference to them, every variable-sized argument or reply lives in the
 session scratch region at window offset 0, and ``length`` says how many
-bytes are staged there: the OPEN and INVOKE bodies, the INVOKE reply's
-values, a relayed SOCK_SEND or SOCK_RECV payload and the packed
-arguments of a relayed SOCK_OPEN or SOCK_IOCTL. A relayed call names
-its bytes by (region_id, offset, length); OPEN, INVOKE and RETURN name
-the scratch implicitly. Each message delivered is one world crossing.
+bytes are staged there: the OPEN and INVOKE operations, the INVOKE
+reply, a relayed SOCK_SEND or SOCK_RECV payload and the packed arguments
+of a relayed SOCK_OPEN or SOCK_IOCTL. A relayed call names its bytes by
+(region_id, offset, length); OPEN, INVOKE and RETURN name the scratch
+implicitly. Each message delivered is one world crossing.
+
+OPEN, INVOKE and the INVOKE reply each stage one fixed 104-byte
+operation, shaped as GlobalPlatform's ``TEEC_Operation``: a u32 TA
+command, a u32 parameter-types word holding 4 bits per parameter (the
+first in the low bits), then four 24-byte parameters::
+
+    kind 0     unused
+    kind 1-3   a value: that many u64s
+    kind 4-6   a memory reference to a WHOLE, PARTIAL or TEMPORARY
+               region: six u32s paired into three u64 words, low half
+               first: (region id, owner pid), (fd, size),
+               (window offset, window length)
+
+The trusted side maps a reference's memory as ``/proc/<pid>/fd/<fd>``;
+every invoke sends the full descriptor, so neither world keeps any
+registration state. ``pack_invoke_body`` gives each region a reference,
+then the values three to a parameter. More than four parameters, a
+value that is not a u64 or a descriptor field that is not a u32 is a
+``ValueError``, raised before anything crosses. OPEN's body is an
+operation of its regions followed by the TA name; the INVOKE reply is an
+operation of value parameters only, and a reply of length 0, as after a
+trusted failure that stages nothing, holds no values. One precompiled
+``struct.Struct`` packs and unpacks the whole block.
 
 The process channel (``context``) carries a frame in a header slot of a
 page both worlds map, packed with ``HEADER.pack_into`` and read with
@@ -34,14 +57,12 @@ returns the unpacked header as the exact 5-tuple ``struct`` builds, in
 what CPython 3.11 specialises unpacking and indexing for; a ``Message``,
 a tuple subclass, would cost about 0.3 µs more to build and slow every
 unpack and index of it on both sides of the relay. ``Message`` names the
-field layout for code that builds frames by hand. The OPEN and INVOKE
-body codecs are precompiled ``struct.Struct`` objects, one per value
-count for the INVOKE values.
+field layout for code that builds frames by hand.
 
 This module is the codec: every code that goes on the wire is decided
-here and nowhere else. The body codecs take and return the package's
-own types (``SharedMode`` in a region descriptor, ``Protocol`` in
-SOCK_OPEN arguments), and a code they do not know is a ``ValueError``.
+here and nowhere else. The codecs take and return the package's own
+types (``SharedMode`` as a parameter kind, ``Protocol`` in SOCK_OPEN
+arguments), and a code they do not know is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -133,18 +154,23 @@ def read_message(fd: int) -> tuple[int, int, int, int, int] | None:
     return _unpack_header(raw)
 
 
-# --- body packing helpers ------------------------------------------------
+# --- the operation -------------------------------------------------------
 
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_REGION_DESC = struct.Struct("<IBQQQH")
-_VALUES: dict[int, struct.Struct] = {}  # INVOKE values codec per count
+OPERATION = struct.Struct("<II12Q")
+OPERATION_SIZE = OPERATION.size  # 104 bytes
+MAX_PARAMS = 4
 
-_MODE_CODE = {SharedMode.WHOLE: 1, SharedMode.PARTIAL: 2, SharedMode.TEMPORARY: 3}
-_CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
-_PROTOCOL_CODE = {Protocol.TCP: 1, Protocol.UDP: 2}
-_CODE_PROTOCOL = {v: k for k, v in _PROTOCOL_CODE.items()}
+_KIND_MODE = {4: SharedMode.WHOLE, 5: SharedMode.PARTIAL, 6: SharedMode.TEMPORARY}
+_MODE_KIND = {mode: kind for kind, mode in _KIND_MODE.items()}
+
+_U32_MASK = 0xFFFFFFFF
+_PAD = (0,) * 12  # the words of the parameters an operation leaves unused
+# the types of n values from the first parameter on: kind 3 for each full
+# three, then kind n % 3
+_VALUE_TYPES = [sum(min(3, n - at) << 4 * (at // 3) for at in range(0, n, 3))
+                for n in range(3 * MAX_PARAMS + 1)]
+_pack_operation = OPERATION.pack
+_unpack_operation = OPERATION.unpack_from
 
 
 def _decode(table: dict, code: int, what: str):
@@ -154,86 +180,63 @@ def _decode(table: dict, code: int, what: str):
     return value
 
 
-def _values_codec(n: int) -> struct.Struct:
-    """Codec of a u8 count followed by ``n`` u64 values, built once per n."""
-    codec = _VALUES.get(n)
-    if codec is None:
-        if n > 255:
-            raise ValueError(f"{n} values do not fit the u8 count")
-        codec = _VALUES[n] = struct.Struct(f"<B{n}Q")
-    return codec
-
-
-def pack_region_descriptor(desc: RegionDescriptor) -> bytes:
-    path = desc.path.encode()
-    return _REGION_DESC.pack(
-        desc.region_id, _MODE_CODE[desc.mode], desc.size,
-        desc.window_offset, desc.window_length, len(path),
-    ) + path
-
-
-def unpack_region_descriptor(buf: bytes, pos: int) -> tuple[RegionDescriptor, int]:
-    rid, mode_code, size, woff, wlen, plen = _REGION_DESC.unpack_from(buf, pos)
-    pos += _REGION_DESC.size
-    path = buf[pos:pos + plen].decode()
-    pos += plen
-    desc = RegionDescriptor(
-        region_id=rid, path=path, size=size,
-        mode=_decode(_CODE_MODE, mode_code, "region mode"),
-        window_offset=woff, window_length=wlen,
-    )
-    return desc, pos
-
-
-def _pack_regions(descs) -> bytes:
-    return _U8.pack(len(descs)) + b"".join(map(pack_region_descriptor, descs))
-
-
-def _unpack_regions(buf: bytes, pos: int) -> tuple[list[RegionDescriptor], int]:
-    (count,) = _U8.unpack_from(buf, pos)
-    pos += 1
-    descs = []
-    for _ in range(count):
-        desc, pos = unpack_region_descriptor(buf, pos)
-        descs.append(desc)
-    return descs, pos
-
-
-def pack_open_body(ta_name: str, args_regions) -> bytes:
-    name = ta_name.encode()
-    return _U16.pack(len(name)) + name + _pack_regions(args_regions)
-
-
-def unpack_open_body(body: bytes):
-    (nlen,) = _U16.unpack_from(body, 0)
-    regions, _ = _unpack_regions(body, 2 + nlen)
-    return body[2:2 + nlen].decode(), regions
-
-
 def pack_invoke_body(ta_command: int, regions, values) -> bytes:
-    return _U32.pack(ta_command) + _pack_regions(regions) + pack_values(values)
-
-
-def unpack_invoke_body(body: bytes):
-    (ta_command,) = _U32.unpack_from(body, 0)
-    regions, pos = _unpack_regions(body, 4)
-    return ta_command, regions, unpack_values(body, pos)
-
-
-def pack_values(values) -> bytes:
-    """A u8 count and that many u64 values; any other value is a ValueError."""
+    """One operation: a memory reference per region descriptor, then the
+    values, three to a value parameter. More than ``MAX_PARAMS``
+    parameters, a value that is not a u64 or a descriptor field that is
+    not a u32 is a ValueError."""
     n = len(values)
-    try:
-        return _values_codec(n).pack(n, *values)
+    if 3 * len(regions) + n > 3 * MAX_PARAMS:
+        count = len(regions) + (n + 2) // 3
+        raise ValueError(f"{count} parameters do not fit an operation's {MAX_PARAMS}")
+    types, words = _VALUE_TYPES[n] << 4 * len(regions), ()
+    for rid, pid, fd, size, mode, woff, wlen in regions:
+        if (rid | pid | fd | size | woff | wlen) >> 32:
+            raise ValueError(f"region {rid}'s descriptor has a field over u32")
+        types |= _MODE_KIND[mode] << 4 * (len(words) // 3)
+        words += (rid | pid << 32, fd | size << 32, woff | wlen << 32)
+    try:  # the value parameters' words are the values in order, zero-padded
+        return _pack_operation(ta_command, types, *words, *values,
+                               *_PAD[len(words) + n:])
     except struct.error as exc:
-        raise ValueError(f"INVOKE values must be u64 integers: {exc}") from None
+        raise ValueError(f"an operation field does not fit: {exc}") from None
 
 
-def unpack_values(body: bytes, pos: int = 0) -> tuple[int, ...]:
-    if pos == len(body):
-        return ()
-    (n,) = _U8.unpack_from(body, pos)
-    return _values_codec(n).unpack_from(body, pos)[1:]
+def unpack_invoke_body(body) -> tuple[int, list[RegionDescriptor], tuple[int, ...]]:
+    """(ta_command, region descriptors, values) of the operation at the
+    start of ``body``; an unknown parameter kind is a ValueError."""
+    fields = _unpack_operation(body)
+    types = fields[1]
+    if types >> 4 * MAX_PARAMS:
+        raise ValueError(f"parameter types {types:#x} name over {MAX_PARAMS} parameters")
+    regions, values, at = [], (), 2
+    while types:
+        kind = types & 15
+        if kind < 4:  # a value parameter of that many u64s; 0 is unused
+            values += fields[at:at + kind]
+        else:
+            mode = _decode(_KIND_MODE, kind, "parameter kind")
+            a, b, c = fields[at:at + 3]
+            regions.append(RegionDescriptor(a & _U32_MASK, a >> 32, b & _U32_MASK,
+                                            b >> 32, mode, c & _U32_MASK, c >> 32))
+        types >>= 4
+        at += 3
+    return fields[0], regions, values
+
+
+def pack_open_body(ta_name: str, regions) -> bytes:
+    """OPEN's body: an operation of the regions, then the TA name."""
+    return pack_invoke_body(0, regions, ()) + ta_name.encode()
+
+
+def unpack_open_body(body: bytes) -> tuple[str, list[RegionDescriptor]]:
+    return body[OPERATION_SIZE:].decode(), unpack_invoke_body(body)[1]
+
+
+# --- the staged arguments of a relayed SOCK_OPEN or SOCK_IOCTL ----------
+
+_PROTOCOL_CODE = {Protocol.TCP: 1, Protocol.UDP: 2}
+_CODE_PROTOCOL = {v: k for k, v in _PROTOCOL_CODE.items()}
 
 
 def pack_sock_open_body(protocol: Protocol, host: str, port: int) -> bytes:

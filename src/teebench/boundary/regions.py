@@ -16,22 +16,27 @@ from __future__ import annotations
 
 import mmap
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core import SharedMode
 from .errors import RegionAllocationError, RegionFault
 
 
-@dataclass(frozen=True)
-class RegionDescriptor:
-    """Everything the trusted side needs to attach and police a region."""
+class RegionDescriptor(NamedTuple):
+    """Everything the trusted side needs to attach and police a region;
+    it maps the memory the owner's pid and fd name as ``path``."""
 
     region_id: int
-    path: str
+    pid: int
+    fd: int
     size: int
     mode: SharedMode
     window_offset: int
     window_length: int
+
+    @property
+    def path(self) -> str:
+        return f"/proc/{self.pid}/fd/{self.fd}"
 
 
 def _check_window(size: int, mode: SharedMode, offset: int, length: int | None):
@@ -81,15 +86,15 @@ class SharedRegion:
         except BaseException:
             os.close(self._fd)
             raise
-        self._path = f"/proc/{os.getpid()}/fd/{self._fd}"
+        self._pid = os.getpid()
         self._view = memoryview(self._map)  # window_view slices this
         self._released = False
 
     @property
     def descriptor(self) -> RegionDescriptor:
         self._check_open()
-        return RegionDescriptor(self.region_id, self._path, self.size, self.mode,
-                                self.window_offset, self.window_length)
+        return RegionDescriptor(self.region_id, self._pid, self._fd, self.size,
+                                self.mode, self.window_offset, self.window_length)
 
     @property
     def released(self) -> bool:

@@ -6,7 +6,8 @@ built: the forked process gets the scratch descriptor by fork
 inheritance and the inline channel gets it from the session.
 ``dispatch`` turns each OPEN, INVOKE or CLOSE request into (status,
 reply length); the request is the given length of bytes at scratch
-offset 0, and an INVOKE's reply values are staged there. The forked
+offset 0, a ``protocol`` operation, and an INVOKE's reply, an operation
+of its values, is staged there. The forked
 process calls it once per request frame and the inline channel calls
 it directly. Trusted application code never touches the OS directly.
 Everything it may use hangs off the TrustedEnv handed to its entry
@@ -44,9 +45,9 @@ from .protocol import (
     SOCK_SEND,
     IoctlCode,
     TeeResult,
+    pack_invoke_body,
     pack_ioctl_body,
     pack_sock_open_body,
-    pack_values,
     unpack_invoke_body,
     unpack_open_body,
 )
@@ -248,7 +249,7 @@ class TrustedRuntime:
                 ta_command, region_descs, values = unpack_invoke_body(
                     scratch.read(0, length))
                 status, out = self.handle_invoke(ta_command, region_descs, values)
-                reply = pack_values(out)
+                reply = pack_invoke_body(0, (), out)
                 scratch.stage(reply, len(reply))
                 return status, len(reply)
             if command == OPEN:

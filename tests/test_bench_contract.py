@@ -3,7 +3,9 @@
 The benchmark's tracer wraps named attributes in place and saves the
 trusted child's spans from inside ``TrustedRuntime.handle_close``, so a
 rename or a moved method breaks the traced run without failing a unit
-test. These tests pin those names and that call path.
+test. Every run, traced or not, imports ``layers``, which takes the
+invoke codec and the pipe framing from ``protocol`` by name. These tests
+pin those names and that call path.
 """
 
 import importlib
@@ -16,17 +18,29 @@ import pytest
 from teebench import traffic
 from teebench.boundary import context, initialize_context, supplicant, trusted
 from teebench.boundary.tas import ProbeCommand
+from teebench.core import KIB, SharedMode
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _bench_module(name: str):
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def layers():
+    # every bench run imports it, for its floor calibration, so a name it
+    # takes from the package that is gone fails every run
+    return _bench_module("layers")
 
 
 def test_every_traced_attribute_is_defined_where_it_is_patched(tracing):
@@ -94,3 +108,23 @@ def test_every_relayed_frame_passes_the_traced_names(monkeypatch):
     assert result.values == (sends * 1024,)
     assert calls == {"read_message": sends + 1, "write_message": sends + 1,
                      "service": sends}
+
+
+def test_the_layer_probes_that_use_the_codec_run(layers):
+    # the expressions of ``protocol.invoke_body_us`` and
+    # ``supplicant.service_discard_us``, once each, through the names
+    # ``layers`` imported
+    ctx = initialize_context(transport="inline")
+    region = ctx.allocate_shared_region(KIB, SharedMode.WHOLE)
+    supplicant = layers.Supplicant()
+    try:
+        desc = region.descriptor
+        assert layers.unpack_invoke_body(layers.pack_invoke_body(
+            2, [desc], (1, 2, 3))) == (2, [desc], (1, 2, 3))
+        msg = layers.Message(layers.Command.SOCK_SEND, region.region_id, 0,
+                             KIB, layers.DISCARD_HANDLE)
+        assert supplicant.service(msg, {region.region_id: region}) == KIB
+    finally:
+        supplicant.release()
+        ctx.release_region(region)
+        ctx.finalize()

@@ -561,7 +561,7 @@ class TestStatusAndStaleRegions:
 
     @pytest.mark.parametrize("staged, length, error", [
         (b"", TA_MEMORY_LIMIT + 1, "outside"),        # past the scratch window
-        (b"\x05", 1, "malformed INVOKE reply"),       # a count of 5, no values
+        (b"\x05", 1, "malformed INVOKE reply"),       # one byte of an operation
     ], ids=["past-the-window", "malformed"])
     def test_a_bad_reply_is_a_boundary_error_and_the_session_goes_on(
             self, transport, monkeypatch, staged, length, error):
@@ -590,7 +590,8 @@ class TestStatusAndStaleRegions:
         ctx.finalize()
 
     @pytest.mark.parametrize("values", [(-1,), tuple(range(300)), (2**64,), (1.5,)],
-                             ids=["negative", "over-255", "over-u64", "float"])
+                             ids=["negative", "too-many-parameters", "over-u64",
+                                  "float"])
     def test_invoke_values_that_do_not_fit_are_a_value_error_before_crossing(
             self, transport, values):
         ctx = initialize_context(transport=transport)
@@ -918,7 +919,7 @@ class TestFaultContainment:
     def test_unmapped_trusted_exception_is_generic(self, transport, capfd):
         ctx = initialize_context(transport=transport)
         session = ctx.open_session("test-raiser")
-        assert session.invoke(1).status == TeeResult.GENERIC
+        assert session.invoke(1) == (TeeResult.GENERIC, ())  # nothing staged
         assert session.invoke(NOOP_COMMAND).status == TeeResult.SUCCESS
         session.close()
         ctx.finalize()

@@ -1,4 +1,5 @@
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -83,18 +84,19 @@ class TestDirectSeries:
 
     def test_put_get_del_latency_ordering_at_saturation(self):
         # cost anatomy: PUT copies in and inserts, GET copies out, DEL only
-        # unlinks; checked as a trend on noise-robust medians, not figures
-        def best_p50(workload):
-            return min(
-                run_kv_bench(workload, rates=(32768,), seed=5,
+        # unlinks; checked as a trend, not figures. Each round runs the
+        # three back to back, so host load that drifts between rounds
+        # cancels in that round's ratios, and their medians are compared
+        put_get, get_del = [], []
+        for _ in range(9):
+            put, get, del_ = (
+                run_kv_bench(w, rates=(32768,), seed=5,
                              prepopulate=True).records[0].p50
-                for _ in range(3)
-            )
-
-        put, get, del_ = (best_p50(w) for w in
-                          (Workload.PUT, Workload.GET, Workload.DEL))
-        assert put >= get * 0.98
-        assert get >= del_ * 0.98
+                for w in (Workload.PUT, Workload.GET, Workload.DEL))
+            put_get.append(put / get)
+            get_del.append(get / del_)
+        assert statistics.median(put_get) >= 0.98
+        assert statistics.median(get_del) >= 0.98
 
     def test_keys_are_slot_indices_spread_over_the_buckets(self, monkeypatch):
         keys = set()

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 
 import pytest
@@ -9,21 +8,20 @@ from teebench.boundary.protocol import (
     Command,
     HEADER,
     HEADER_SIZE,
+    MAX_PARAMS,
+    OPERATION,
+    OPERATION_SIZE,
     IoctlCode,
     Message,
     pack_invoke_body,
     pack_ioctl_body,
     pack_open_body,
-    pack_region_descriptor,
     pack_sock_open_body,
-    pack_values,
     read_message,
     unpack_invoke_body,
     unpack_ioctl_body,
     unpack_open_body,
-    unpack_region_descriptor,
     unpack_sock_open_body,
-    unpack_values,
     write_message,
 )
 from teebench.boundary.regions import RegionDescriptor
@@ -123,70 +121,94 @@ def test_a_frame_shorter_than_a_header_is_a_boundary_error(cut):
         os.close(r)
 
 
-def desc(region_id=9, mode=SharedMode.PARTIAL):
-    return RegionDescriptor(region_id=region_id, path="/dev/shm/teebench-x",
-                            size=8192, mode=mode, window_offset=4096,
-                            window_length=4096)
+def desc(region_id=9, mode=SharedMode.PARTIAL, **fields):
+    return RegionDescriptor(**{
+        "region_id": region_id, "pid": 4242, "fd": 17, "size": 8192,
+        "mode": mode, "window_offset": 4096, "window_length": 4096, **fields})
 
 
-def test_region_descriptor_round_trip():
-    packed = pack_region_descriptor(desc())
-    out, pos = unpack_region_descriptor(packed, 0)
-    assert out == desc()
-    assert pos == len(packed)
+def test_a_descriptor_names_its_memory_by_owner_pid_and_fd():
+    assert desc().path == "/proc/4242/fd/17"
 
 
-def test_open_body_round_trip():
-    body = pack_open_body("traffic", [desc(2), desc(3, SharedMode.TEMPORARY)])
-    name, regions = unpack_open_body(body)
+def test_open_operation_round_trip():
+    regions = [desc(2), desc(3, SharedMode.TEMPORARY)]
+    body = pack_open_body("traffic", regions)
+    assert body == pack_invoke_body(0, regions, ()) + b"traffic"
+    name, out = unpack_open_body(body)
     assert name == "traffic"
-    assert [r.region_id for r in regions] == [2, 3]
-    assert regions[1].mode is SharedMode.TEMPORARY
+    assert out == regions
+    assert out[1].mode is SharedMode.TEMPORARY
 
 
-def test_invoke_body_round_trip():
-    body = pack_invoke_body(4, [desc()], (0, 2**63, 2**64 - 1))
-    command, regions, values = unpack_invoke_body(body)
-    assert command == 4
-    assert regions == [desc()]
-    assert tuple(values) == (0, 2**63, 2**64 - 1)
+def test_invoke_operation_round_trip():
+    regions = [desc(i, mode) for i, mode in enumerate(SharedMode, 1)]
+    body = pack_invoke_body(4, regions, (0, 2**63, 2**64 - 1))
+    assert len(body) == OPERATION_SIZE == 104
+    assert unpack_invoke_body(body) == (4, regions, (0, 2**63, 2**64 - 1))
 
 
-def test_open_and_invoke_bodies_keep_their_wire_bytes():
-    # region descriptor: u32 id, u8 mode, u64 size, u64 window offset,
-    # u64 window length, u16 path length, path
-    temp = RegionDescriptor(region_id=6, path="/t", size=8192,
-                            mode=SharedMode.TEMPORARY, window_offset=4096,
-                            window_length=4096)
-    assert pack_open_body("kv", [temp]) == bytes.fromhex(
-        "0200 6b76"
-        "01"
-        "06000000 03 0020000000000000 0010000000000000 0010000000000000 0200 2f74")
-    partial = dataclasses.replace(temp, mode=SharedMode.PARTIAL)
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.integers(0, 2**64 - 1), max_size=3 * MAX_PARAMS))
+def test_reply_operation_round_trip(values):
+    # the INVOKE reply is an operation of value parameters only
+    assert unpack_invoke_body(pack_invoke_body(0, (), values)) == (
+        0, [], tuple(values))
+
+
+def test_operation_keeps_its_wire_bytes():
+    # u32 TA command, u32 parameter types (4 bits each, the first lowest),
+    # then four 24-byte parameters; a memory reference pairs its six u32s
+    # into three u64 words, low half first
+    partial = desc(6, pid=0x1234, fd=7)
     assert pack_invoke_body(3, [partial], (1, 2**64 - 1)) == bytes.fromhex(
-        "03000000"
-        "01"
-        "06000000 02 0020000000000000 0010000000000000 0010000000000000 0200 2f74"
-        "02 0100000000000000 ffffffffffffffff")
+        "03000000 25000000"
+        "06000000 34120000 07000000 00200000 00100000 00100000"
+        "0100000000000000 ffffffffffffffff 0000000000000000"
+        + "00" * 48)
 
 
-def test_values_round_trip():
-    assert unpack_values(pack_values(())) == ()
-    assert unpack_values(pack_values((7, 8))) == (7, 8)
-    assert unpack_values(b"") == ()
+def test_an_unknown_parameter_kind_is_a_value_error():
+    body = bytearray(pack_invoke_body(1, [desc()], ()))
+    body[4] = 7  # the parameter-types word follows the u32 command
+    with pytest.raises(ValueError, match="parameter kind code 7"):
+        unpack_invoke_body(bytes(body))
+
+
+def test_a_types_word_naming_a_fifth_parameter_is_a_value_error():
+    body = OPERATION.pack(1, 0x10000, *(0,) * 12)
+    with pytest.raises(ValueError, match="over 4 parameters"):
+        unpack_invoke_body(body)
+
+
+@pytest.mark.parametrize("regions, values", [
+    ([desc()] * 5, ()),
+    ([desc()] * 2, tuple(range(7))),
+    ((), tuple(range(13))),
+], ids=["five-regions", "two-regions-three-value-params", "thirteen-values"])
+def test_five_parameters_are_a_value_error(regions, values):
+    with pytest.raises(ValueError, match="5 parameters"):
+        pack_invoke_body(1, regions, values)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5])
+def test_a_value_that_is_not_a_u64_is_a_value_error(value):
+    with pytest.raises(ValueError):
+        pack_invoke_body(1, (), (0, value))
+
+
+@pytest.mark.parametrize("field", [
+    "region_id", "pid", "fd", "size", "window_offset", "window_length"])
+@pytest.mark.parametrize("bad", [2**32, -1])
+def test_a_descriptor_field_over_u32_is_a_value_error(field, bad):
+    with pytest.raises(ValueError, match="over u32"):
+        pack_invoke_body(1, [desc(**{field: bad})], ())
 
 
 def test_sock_open_body_round_trip():
     protocol, host, port = unpack_sock_open_body(
         pack_sock_open_body(Protocol.UDP, "10.1.2.3", 5201))
     assert (protocol, host, port) == (Protocol.UDP, "10.1.2.3", 5201)
-
-
-def test_unknown_region_mode_code_does_not_decode():
-    buf = bytearray(pack_region_descriptor(desc()))
-    buf[4] = 9  # the u8 mode follows the u32 region id
-    with pytest.raises(ValueError, match="region mode code 9"):
-        unpack_region_descriptor(bytes(buf), 0)
 
 
 def test_unknown_socket_protocol_code_does_not_decode():
