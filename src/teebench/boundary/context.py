@@ -9,7 +9,9 @@ semaphore is the C type ``_multiprocessing.SemLock``; ``src/`` does not
 use the ``multiprocessing`` package, and the semaphore's ``/dev/shm``
 name is unlinked inside its constructor. A reader takes a posted frame
 at once; else it yields its core up to a fixed number of times, taking a
-frame posted meanwhile, and only then sleeps on the semaphore. Pinned to
+frame posted meanwhile, and only then sleeps on the semaphore. That
+wait builds no object: each world resumes cold after a switch, so an
+allocation there costs several times its warm price. Pinned to
 one core, as the bench pins both worlds, each yield runs the peer, so a
 crossing hands the core over as a TrustZone SMC does, and the writer's
 post wakes no sleeper; unpinned, the peer runs on another core while the
@@ -126,7 +128,7 @@ def _after_fork_in_child() -> None:
 os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundaryStats:
     """Counts and accumulated cost of world-boundary traffic.
 
@@ -430,16 +432,18 @@ def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
     A frame posted already is taken at once. Otherwise the reader yields
     its core and tries again, up to ``_YIELDS`` times, and only then
     sleeps on the semaphore, so a writer whose reader spins makes no
-    ``futex_wake`` call.
+    ``futex_wake`` call. The wait counts down a small int and builds no
+    object: the reader runs it just after being switched back in, with
+    cold caches, where an allocation costs several times its warm price.
     """
     take = port.wait
-    if not take(False):
-        for _ in range(_YIELDS):
-            _yield()
-            if take(False):
-                break
-        else:
+    left = _YIELDS
+    while not take(False):
+        if not left:
             take()
+            break
+        _yield()
+        left -= 1
     if port.gone:
         port.hang_up()  # the next read finds a post too
         return None

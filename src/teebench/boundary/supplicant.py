@@ -96,7 +96,9 @@ class OsSocket:
 
 class _DiscardSink:
     """Handle 0: ``OsSocket``'s surface over a sink that copies each send
-    out of shared memory, then drops it, and reads EOF."""
+    out of shared memory, then drops it, and reads EOF. It accepts each
+    known ioctl and, as ``OsSocket`` does, refuses an unknown code with
+    EINVAL."""
 
     def send(self, data) -> int:
         return len(bytes(data))
@@ -105,7 +107,8 @@ class _DiscardSink:
         return 0
 
     def ioctl(self, code: IoctlCode, arg) -> None:
-        pass
+        if code not in (IoctlCode.SET_BUF_SIZES, IoctlCode.SET_PEER):
+            raise OSError(errno.EINVAL, f"unknown ioctl code {code}")
 
     def close(self) -> None:
         pass

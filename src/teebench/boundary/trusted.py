@@ -116,7 +116,8 @@ class TeeSocket:
     def send(self, data) -> int:
         if self.state is not _OPEN:
             self._check_usable()  # raises
-        n = memoryview(data).nbytes  # the window is in bytes, not items
+        # the window is in bytes, not items; a memoryview is not wrapped again
+        n = (data if type(data) is memoryview else memoryview(data)).nbytes
         if 0 < n <= self._window:
             self._stage(data, n)
             status = self._rpc(SOCK_SEND, self._region_id, 0, n, self.handle)

@@ -105,6 +105,25 @@ class _BadRelayTa:
                                    -unshared_open, -unshared_ioctl)
 
 
+@register_ta("test-unknown-ioctl")
+class _UnknownIoctlTa:
+    """Relays an ioctl whose code no socket knows to the discard sink and
+    to a live TCP handle on the given port; reports, per handle, the
+    errno of the ioctl and the handle's last errno after it."""
+
+    def on_invoke(self, env, command, params):
+        (port,) = params.values
+        live = env.open_socket("127.0.0.1", port, Protocol.TCP)
+        env.scratch.stage(struct.pack("<I", 99), 4)
+        scratch = env.scratch.descriptor.region_id
+        errnos = []
+        for handle in (DISCARD_HANDLE, live.handle):
+            errnos.append(-env.rpc(Command.SOCK_IOCTL, scratch, 0, 4, handle))
+            errnos.append(env.rpc(Command.SOCK_ERROR, 0, 0, 0, handle))
+        live.close()
+        return TeeResult.SUCCESS, tuple(errnos)
+
+
 @register_ta("test-stale-region")
 class _StaleRegionTa:
     """Keeps the id of the region shared with the first invocation and
@@ -140,10 +159,12 @@ class _WideSendTa:
 @register_ta("test-small-send")
 class _SmallSendTa:
     """Sends to the discard socket: command 1 an empty payload, command 2
-    100 four-byte items, less than the scratch window; reports the bytes
-    sent."""
+    100 four-byte items, less than the scratch window, and command 3 the
+    same items in a memoryview, which ``send`` does not wrap again;
+    reports the bytes sent."""
 
-    payloads = {1: b"", 2: array("I", range(100))}
+    payloads = {1: b"", 2: array("I", range(100)),
+                3: memoryview(array("I", range(100)))}
 
     def on_invoke(self, env, command, params):
         return TeeResult.SUCCESS, (env.discard_socket().send(self.payloads[command]),)
@@ -829,15 +850,24 @@ class TestSocketFacade:
         assert (after.rpc_count, after.bytes_copied) == (0, 0)
 
     def test_items_under_one_window_are_one_relayed_call_of_their_bytes(
-            self, transport):
+            self, transport, monkeypatch):
+        staged = []
+        service = Supplicant.service
+
+        def recording(self, msg, regions):  # runs in the normal world
+            staged.append(regions[msg[1]].window_read(msg[2], msg[3]))
+            return service(self, msg, regions)
+
+        monkeypatch.setattr(Supplicant, "service", recording)
         ctx = initialize_context(transport=transport)
         session = ctx.open_session("test-small-send")
-        result = session.invoke(2)
+        results = [session.invoke(command) for command in (2, 3)]
         session.close()
         stats = ctx.stats
         ctx.finalize()
-        assert (result.status, result.values) == (TeeResult.SUCCESS, (400,))
-        assert (stats.rpc_count, stats.bytes_copied) == (1, 400)
+        assert results == [(TeeResult.SUCCESS, (400,))] * 2
+        assert (stats.rpc_count, stats.bytes_copied) == (2, 800)
+        assert staged == [array("I", range(100)).tobytes()] * 2
 
     def test_the_supplicant_is_served_exact_header_tuples(
             self, transport, monkeypatch):
@@ -1453,6 +1483,16 @@ class TestSupplicantIoctl:
         import errno as errno_mod
 
         assert status == -errno_mod.EBADF
+
+    def test_an_unknown_code_is_einval_on_the_sink_as_on_a_live_socket(
+            self, tcp_server, transport):
+        ctx = initialize_context(transport=transport)
+        session = ctx.open_session("test-unknown-ioctl")
+        result = session.invoke(1, values=(tcp_server.port,))
+        session.close()
+        ctx.finalize()
+        assert result.status == TeeResult.SUCCESS
+        assert result.values == (errno.EINVAL,) * 4
 
     def test_discard_handle_swallows_sends(self):
         supplicant = Supplicant()

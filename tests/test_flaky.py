@@ -38,3 +38,30 @@ def test_a_failing_test_counts_every_run_failed(flaky, throwaway, capsys):
 def test_an_id_naming_no_test_stops_the_count(flaky, throwaway, capsys):
     assert flaky.main([f"{throwaway}::test_missing", "--runs", "2"]) == 2
     assert "pytest exited 4" in capsys.readouterr().err
+
+
+@pytest.fixture
+def suite(tmp_path, monkeypatch):
+    """A suite of one passing test and one that fails in its first run
+    only, counted in a file beside it."""
+    (tmp_path / "test_suite.py").write_text(
+        "from pathlib import Path\n\n"
+        "def test_passes():\n    assert True\n\n"
+        "def test_fails_once():\n"
+        "    runs = Path(__file__).with_name('runs')\n"
+        "    first = not runs.exists()\n"
+        "    runs.write_text('x')\n"
+        "    assert not first\n")
+    monkeypatch.chdir(tmp_path)
+
+
+def test_the_suite_mode_tallies_failing_runs_per_test_id(flaky, suite, capsys):
+    assert flaky.main(["--suite", "--runs", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["test_suite.py::test_fails_once: failed in 1 of 3 runs",
+                   "suite: 2 clean of 3 runs"]
+
+
+def test_the_suite_mode_takes_no_test_id(flaky, throwaway):
+    with pytest.raises(SystemExit):
+        flaky.main([f"{throwaway}::test_passes", "--suite"])

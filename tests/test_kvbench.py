@@ -1,6 +1,8 @@
+import importlib
 import random
-import statistics
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,17 @@ from teebench.kvbench import (
 from teebench.kvstore import bucket_of
 
 FAST_RATES = (512, 4096, 32768)
+TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture(scope="module")
+def sign_test_p():
+    """The exact two-sided sign test ``tools/ab_pairs.py`` reports."""
+    sys.path.insert(0, str(TOOLS_DIR))
+    try:
+        return importlib.import_module("ab_pairs").sign_test_p
+    finally:
+        sys.path.remove(str(TOOLS_DIR))
 
 
 class TestOpMix:
@@ -82,21 +95,30 @@ class TestDirectSeries:
         assert series.records[0].ops <= 4
         assert series.records[1].ops == 256
 
-    def test_put_get_del_latency_ordering_at_saturation(self):
+    def test_put_get_del_latency_ordering_at_saturation(self, sign_test_p):
         # cost anatomy: PUT copies in and inserts, GET copies out, DEL only
-        # unlinks; checked as a trend, not figures. Each round runs the
-        # three back to back, so host load that drifts between rounds
-        # cancels in that round's ratios, and their medians are compared
-        put_get, get_del = [], []
-        for _ in range(9):
-            put, get, del_ = (
-                run_kv_bench(w, rates=(32768,), seed=5,
+        # unlinks; checked as a trend, not figures. Each round times the
+        # three back to back, in reverse order every other round, so host
+        # load that drifts between rounds or favours one slot of a round
+        # falls on each op alike. A round is a win for the ordering when
+        # the costlier op's p50 is at least 0.98 of the cheaper one's; the
+        # ordering is refuted only when the losses outnumber the wins by a
+        # margin the paired sign test calls significant (p < 0.01), as 17
+        # or more of 21 rounds would. GET and DEL differ by about a tenth
+        # of a microsecond, so one round's verdict is as noisy as a coin
+        # under load, while a reversed ordering loses nearly every round.
+        order = (Workload.PUT, Workload.GET, Workload.DEL)
+        rounds = [
+            {w: run_kv_bench(w, rates=(32768,), seed=5,
                              prepopulate=True).records[0].p50
-                for w in (Workload.PUT, Workload.GET, Workload.DEL))
-            put_get.append(put / get)
-            get_del.append(get / del_)
-        assert statistics.median(put_get) >= 0.98
-        assert statistics.median(get_del) >= 0.98
+             for w in (order if i % 2 else order[::-1])}
+            for i in range(21)]
+        for costlier, cheaper in zip(order, order[1:]):
+            wins = sum(r[costlier] >= 0.98 * r[cheaper] for r in rounds)
+            losses = len(rounds) - wins
+            assert wins >= losses or sign_test_p(wins, losses) >= 0.01, (
+                f"{cheaper.name} cost more than {costlier.name} in "
+                f"{losses} of {len(rounds)} rounds")
 
     def test_keys_are_slot_indices_spread_over_the_buckets(self, monkeypatch):
         keys = set()
