@@ -173,8 +173,7 @@ class Context:
         self.switch_cost = switch_cost
         self.transport = transport
         self._regions: dict[int, SharedRegion] = {}
-        self._sessions: list["Session"] = []
-        self._region_ids = itertools.count(1)  # 0 means "no region" on the wire
+        self._sessions: list["Session"] = []  # live ones: _teardown removes them
         self._stats = BoundaryStats()   # totals of the sessions torn down
         self._lock = threading.Lock()
         self._finalized = False
@@ -202,7 +201,7 @@ class Context:
             raise RegionAllocationError(
                 f"allocating {size} B would exceed the {REGION_CAP} B region cap"
             )
-        region = SharedRegion(next(self._region_ids), size, mode, offset, length)
+        region = SharedRegion(size, mode, offset, length)
         _held.add(region)
         self._regions[region.region_id] = region
         return region
@@ -231,11 +230,10 @@ class Context:
     def finalize(self) -> None:
         """Tear the context down; fails while sessions or regions are live."""
         self._check_live()
-        live_sessions = [s for s in self._sessions if not s.closed]
         live_regions = [r for r in self._regions.values() if not r.released]
-        if live_sessions or live_regions:
+        if self._sessions or live_regions:
             raise SessionStateError(
-                f"context busy: {len(live_sessions)} open session(s), "
+                f"context busy: {len(self._sessions)} open session(s), "
                 f"{len(live_regions)} unreleased region(s)"
             )
         self._finalized = True
@@ -255,12 +253,12 @@ class Session:
         self.closed = False
         self._op_lock = threading.Lock()
         self._stats = BoundaryStats()   # written only by the in-flight op
-        scratch_id = next(ctx._region_ids)
-        self._scratch = SharedRegion(scratch_id, TA_MEMORY_LIMIT, SharedMode.WHOLE)
+        self._scratch = SharedRegion(TA_MEMORY_LIMIT, SharedMode.WHOLE)
         self._supplicant = Supplicant()
         _held.add(self._scratch)
         _held.add(self._supplicant)
-        self._relay_regions = {scratch_id: self._scratch}  # all a relayed call may name
+        # all a relayed call may name
+        self._relay_regions = {self._scratch.region_id: self._scratch}
         self._channel = None
         with ctx._lock:
             ctx._sessions.append(self)

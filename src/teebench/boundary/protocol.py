@@ -62,7 +62,10 @@ field layout for code that builds frames by hand.
 This module is the codec: every code that goes on the wire is decided
 here and nowhere else. The codecs take and return the package's own
 types (``SharedMode`` as a parameter kind, ``Protocol`` in SOCK_OPEN
-arguments), and a code they do not know is a ``ValueError``.
+arguments), and a code they do not know is a ``ValueError``, with one
+exception: ``unpack_ioctl_body`` returns ``(code, None)`` for an ioctl
+code it does not know, so the supplicant answers that ioctl with EINVAL
+and records it as the handle's last errno, as a live socket would.
 """
 
 from __future__ import annotations

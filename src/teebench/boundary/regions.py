@@ -10,16 +10,25 @@ unrestricted access to its own buffer; the trusted side only ever sees
 the access window, addressed window-relative, and loses access when the
 region is revoked (invocation return for temporary regions, session
 close for session-bound ones).
+
+A region numbers itself: its id comes from one process-wide counter
+starting at 1 (0 means "no region" on the wire), so no two regions of a
+process share an id, whichever contexts or sessions hold them. The
+trusted side caches its views of WHOLE and PARTIAL regions by id, and
+a context keys its registry by id, so an id names one region only.
 """
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 from typing import NamedTuple
 
 from ..core import SharedMode
 from .errors import RegionAllocationError, RegionFault
+
+_region_ids = itertools.count(1)  # process-wide; 0 means "no region" on the wire
 
 
 class RegionDescriptor(NamedTuple):
@@ -40,6 +49,8 @@ class RegionDescriptor(NamedTuple):
 
 
 def _check_window(size: int, mode: SharedMode, offset: int, length: int | None):
+    if not isinstance(mode, SharedMode):
+        raise RegionAllocationError(f"sharing mode {mode!r} is not a SharedMode")
     if size < 1:
         raise RegionAllocationError("region size must be >= 1")
     if mode is SharedMode.WHOLE and offset != 0:
@@ -71,10 +82,10 @@ class SharedRegion:
     coordinates the trusted side sees.
     """
 
-    def __init__(self, region_id: int, size: int, mode: SharedMode,
+    def __init__(self, size: int, mode: SharedMode,
                  offset: int = 0, length: int | None = None):
         length = _check_window(size, mode, offset, length)
-        self.region_id = region_id
+        self.region_id = next(_region_ids)
         self.size = size
         self.mode = mode
         self.window_offset = offset

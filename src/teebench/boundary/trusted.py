@@ -91,9 +91,8 @@ class TeeSocket:
     boundary.
     """
 
-    def __init__(self, env: "TrustedEnv", handle: int, protocol: Protocol):
+    def __init__(self, env: "TrustedEnv", handle: int):
         self.handle = handle
-        self.protocol = protocol
         self.state = SocketState.OPEN
         scratch = self._scratch = env.scratch
         self._stage = scratch.stage
@@ -212,11 +211,11 @@ class TrustedEnv:
                           len(args), 0)
         if status < 0:
             raise TeeSocketError(-status)
-        return TeeSocket(self, status, protocol)
+        return TeeSocket(self, status)
 
     def discard_socket(self) -> TeeSocket:
         """Socket bound to the supplicant's built-in byte sink (handle 0)."""
-        return TeeSocket(self, DISCARD_HANDLE, Protocol.TCP)
+        return TeeSocket(self, DISCARD_HANDLE)
 
 
 # the region views and integer values passed along with one command

@@ -1,5 +1,8 @@
+import importlib
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,27 @@ from teebench.server import BenchmarkServer, ServerConfig
 # Both boundary transports must behave identically; parametrize the
 # cheap tests over them and keep the slow ones on a single transport.
 TRANSPORTS = ("inline", "process")
+
+
+REPO_DIR = Path(__file__).resolve().parent.parent
+
+
+def _import_from(directory: str, name: str):
+    """Import module ``name`` from the repo's ``directory`` (``tools`` or
+    ``bench``), leaving ``sys.path`` as it was."""
+    path = str(REPO_DIR / directory)
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(path)
+
+
+@pytest.fixture(scope="session")
+def import_from():
+    """``import_from(directory, name)``: a script module of the repo's
+    ``tools/`` or ``bench/``, which are not packages."""
+    return _import_from
 
 
 SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()

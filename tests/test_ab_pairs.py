@@ -1,19 +1,9 @@
-import importlib
-import sys
-from pathlib import Path
-
 import pytest
-
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
-def ab_pairs():
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("ab_pairs")
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+def ab_pairs(import_from):
+    return import_from("tools", "ab_pairs")
 
 
 def _result(failed=0, attempted=100, **metrics):

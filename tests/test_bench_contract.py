@@ -8,10 +8,7 @@ invoke codec and the pipe framing from ``protocol`` by name. These tests
 pin those names and that call path.
 """
 
-import importlib
 import os
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,27 +17,17 @@ from teebench.boundary import context, initialize_context, supplicant, trusted
 from teebench.boundary.tas import ProbeCommand
 from teebench.core import KIB, SharedMode
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
-
-def _bench_module(name: str):
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(BENCH_DIR))
+@pytest.fixture(scope="module")
+def tracing(import_from):
+    return import_from("bench", "tracing")
 
 
 @pytest.fixture(scope="module")
-def tracing():
-    return _bench_module("tracing")
-
-
-@pytest.fixture(scope="module")
-def layers():
+def layers(import_from):
     # every bench run imports it, for its floor calibration, so a name it
     # takes from the package that is gone fails every run
-    return _bench_module("layers")
+    return import_from("bench", "layers")
 
 
 def test_every_traced_attribute_is_defined_where_it_is_patched(tracing):

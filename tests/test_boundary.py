@@ -93,14 +93,15 @@ class _BadRelayTa:
     session never shared; reports the errnos it got."""
 
     def on_invoke(self, env, command, params):
-        unknown = env.rpc(Command.SOCK_SEND, 999, 0, 16, DISCARD_HANDLE)
         scratch = env.scratch.descriptor
+        unshared = scratch.region_id + 1  # ids are process-wide: not the scratch's
+        unknown = env.rpc(Command.SOCK_SEND, unshared, 0, 16, DISCARD_HANDLE)
         outside = env.rpc(Command.SOCK_SEND, scratch.region_id,
                           scratch.window_length - 8, 16, DISCARD_HANDLE)
         env.scratch.stage(b"\x01", 1)
         malformed = env.rpc(Command.SOCK_OPEN, scratch.region_id, 0, 1, 0)
-        unshared_open = env.rpc(Command.SOCK_OPEN, 999, 0, 1, 0)
-        unshared_ioctl = env.rpc(Command.SOCK_IOCTL, 999, 0, 1, DISCARD_HANDLE)
+        unshared_open = env.rpc(Command.SOCK_OPEN, unshared, 0, 1, 0)
+        unshared_ioctl = env.rpc(Command.SOCK_IOCTL, unshared, 0, 1, DISCARD_HANDLE)
         return TeeResult.SUCCESS, (-unknown, -outside, -malformed,
                                    -unshared_open, -unshared_ioctl)
 
@@ -727,6 +728,96 @@ class TestRegionLifetimes:
         session.close()
         ctx.release_region(region)
         ctx.finalize()
+
+
+class TestRegionIdentity:
+    """Region ids are process-wide, so the first region of two contexts
+    is two regions to the trusted side's view cache and to each
+    context's registry."""
+
+    def test_another_contexts_region_is_not_served_a_cached_view(self, transport):
+        a = initialize_context(transport=transport)
+        b = initialize_context(transport=transport)
+        a_region = a.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
+        b_region = b.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
+        session = b.open_session("probe")
+        assert session.invoke(ProbeCommand.TOUCH, regions=(b_region,),
+                              values=(TouchOp.READ, 0, 16)).status \
+            == TeeResult.SUCCESS
+        probe = session.invoke(ProbeCommand.TOUCH, regions=(a_region,),
+                               values=(TouchOp.WRITE, 0, 16))
+        assert probe.status == TeeResult.SUCCESS
+        assert a_region.window_read(0, 16) == b"\xab" * 16
+        assert b_region.window_read(0, 16) == bytes(16)
+        session.close()
+        a.release_region(a_region)
+        b.release_region(b_region)
+        a.finalize()
+        b.finalize()
+
+    def test_releasing_another_contexts_region_leaves_the_registry(self, transport):
+        a = initialize_context(transport=transport)
+        b = initialize_context(transport=transport)
+        a_region = a.allocate_shared_region(KIB, SharedMode.WHOLE)
+        b_region = b.allocate_shared_region(KIB, SharedMode.WHOLE)
+        a.release_region(b_region)
+        with pytest.raises(SessionStateError, match="1 unreleased region"):
+            a.finalize()
+        a.release_region(a_region)
+        a.finalize()
+        b.finalize()
+
+    def test_a_mode_that_is_not_a_shared_mode_is_refused_at_allocation(self):
+        from teebench.boundary import RegionAllocationError
+
+        ctx = initialize_context(transport="inline")
+        with pytest.raises(RegionAllocationError, match="'whole'"):
+            ctx.allocate_shared_region(KIB, "whole")
+        ctx.finalize()
+
+
+class TestBuiltinRefusals:
+    """The built-in applications answer a command they do not know, or
+    one without the regions it needs, with a status, on both transports."""
+
+    @pytest.fixture
+    def regions(self, transport):
+        ctx = initialize_context(transport=transport)
+        regions = [ctx.allocate_shared_region(4 * KIB, SharedMode.WHOLE)
+                   for _ in range(2)]
+        yield ctx, regions
+        for region in regions:
+            ctx.release_region(region)
+        ctx.finalize()
+
+    def _invoke(self, ctx, ta_name, command, regions=(), values=()):
+        session = ctx.open_session(ta_name)
+        try:
+            return session.invoke(command, regions=regions, values=values).status
+        finally:
+            session.close()
+
+    def test_traffic_refuses_an_unknown_command(self, regions):
+        ctx, shared = regions
+        assert self._invoke(ctx, "traffic", 99, shared) == TeeResult.NOT_SUPPORTED
+
+    def test_traffic_refuses_one_region_instead_of_two(self, regions):
+        from teebench.boundary.tas import TrafficCommand
+
+        ctx, shared = regions
+        assert self._invoke(ctx, "traffic", TrafficCommand.RUN, shared[:1]) \
+            == TeeResult.BAD_PARAMETERS
+
+    def test_kv_refuses_a_command_with_no_data_region(self, regions):
+        from teebench.boundary.tas import KvCommand
+
+        ctx, _ = regions
+        assert self._invoke(ctx, "kv", KvCommand.GET, values=(1, 0)) \
+            == TeeResult.BAD_PARAMETERS
+
+    def test_kv_refuses_an_unknown_command(self, regions):
+        ctx, shared = regions
+        assert self._invoke(ctx, "kv", 99, shared[:1]) == TeeResult.NOT_SUPPORTED
 
 
 class TestSocketFacade:
@@ -1406,7 +1497,7 @@ class TestPortHandoff:
 def _relay_args(supplicant, command, handle, args):
     """Service ``command`` with its packed arguments staged, as the trusted
     side stages them, at offset 0 of a region shared for the one call."""
-    region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+    region = SharedRegion(4 * KIB, SharedMode.WHOLE)
     try:
         region.window_write(0, args)
         return supplicant.service(
@@ -1521,7 +1612,7 @@ class TestRelayErrorPrecedence:
             supplicant, Command.SOCK_OPEN, 0,
             pack_sock_open_body(Protocol.TCP, "127.0.0.1", tcp_server.port))
         assert handle > 0
-        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        region = SharedRegion(4 * KIB, SharedMode.WHOLE)
         yield supplicant, handle, region
         supplicant.release()
         region.release()
@@ -1542,7 +1633,7 @@ class TestRelayErrorPrecedence:
         past_end = Message(Command.SOCK_SEND, region.region_id,
                            4 * KIB - 8, 16, handle)
         assert supplicant.service(past_end, regions) == -errno.EFAULT
-        unknown = Message(Command.SOCK_SEND, 999, 0, 16, handle)
+        unknown = Message(Command.SOCK_SEND, region.region_id + 1, 0, 16, handle)
         assert supplicant.service(unknown, regions) == -errno.EFAULT
         last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
         assert supplicant.service(last_error, regions) == 0
@@ -1563,7 +1654,7 @@ class TestRelayErrorPrecedence:
 
     def test_discard_recv_the_session_does_not_share_is_efault(self):
         supplicant = Supplicant()
-        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        region = SharedRegion(4 * KIB, SharedMode.WHOLE)
         try:
             unknown = Message(Command.SOCK_RECV, 999, 0, 16, DISCARD_HANDLE)
             assert supplicant.service(unknown, {}) == -errno.EFAULT
@@ -1586,7 +1677,8 @@ class TestRelayErrorPrecedence:
         args = pack_ioctl_body(IoctlCode.SET_BUF_SIZES, (KIB, KIB))
         region.window_write(0, args)
         regions = {region.region_id: region}
-        for region_id, offset in ((999, 0), (region.region_id, 4 * KIB - 8)):
+        for region_id, offset in ((region.region_id + 1, 0),
+                                  (region.region_id, 4 * KIB - 8)):
             msg = Message(command, region_id, offset, len(args), handle)
             assert supplicant.service(msg, regions) == -errno.EFAULT
         last_error = Message(Command.SOCK_ERROR, 0, 0, 0, handle)
@@ -1599,7 +1691,7 @@ class TestRelayErrorPrecedence:
 
     def test_closing_the_sink_answers_0_and_leaves_it_open(self):
         supplicant = Supplicant()
-        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        region = SharedRegion(4 * KIB, SharedMode.WHOLE)
         try:
             close = Message(Command.SOCK_CLOSE, 0, 0, 0, DISCARD_HANDLE)
             assert supplicant.service(close, {}) == 0
@@ -1628,7 +1720,7 @@ class TestFaultingRecv:
         payload = bytes(range(100))
         peer.sendall(payload)
         peer.shutdown(socket.SHUT_WR)  # a consumed payload reads as EOF
-        region = SharedRegion(7, 4 * KIB, SharedMode.WHOLE)
+        region = SharedRegion(4 * KIB, SharedMode.WHOLE)
         yield supplicant, handle, region, payload
         supplicant.release()
         region.release()

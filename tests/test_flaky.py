@@ -1,19 +1,9 @@
-import importlib
-import sys
-from pathlib import Path
-
 import pytest
-
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
-def flaky():
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("flaky")
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+def flaky(import_from):
+    return import_from("tools", "flaky")
 
 
 @pytest.fixture

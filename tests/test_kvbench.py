@@ -1,8 +1,5 @@
-import importlib
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -20,17 +17,12 @@ from teebench.kvbench import (
 from teebench.kvstore import bucket_of
 
 FAST_RATES = (512, 4096, 32768)
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
-def sign_test_p():
+def sign_test_p(import_from):
     """The exact two-sided sign test ``tools/ab_pairs.py`` reports."""
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("ab_pairs").sign_test_p
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+    return import_from("tools", "ab_pairs").sign_test_p
 
 
 class TestOpMix:

@@ -1,20 +1,12 @@
-import importlib
 import sys
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
-
 
 @pytest.fixture(scope="module")
-def linecov():
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("linecov")
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+def linecov(import_from):
+    return import_from("tools", "linecov")
 
 
 def test_missed_lines_are_the_body_of_the_function_never_called(linecov, tmp_path):

@@ -1,21 +1,13 @@
-import importlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
-
 
 @pytest.fixture(scope="module")
-def pingpong():
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("pingpong")
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+def pingpong(import_from):
+    return import_from("tools", "pingpong")
 
 
 def test_each_leg_gives_one_figure_per_repetition(pingpong):
@@ -45,9 +37,9 @@ def test_a_leg_runs_on_its_cores_and_the_callers_are_restored(pingpong,
     assert os.sched_getaffinity(0) == home
 
 
-def test_the_command_prints_every_leg_and_the_pinned_ratio():
+def test_the_command_prints_every_leg_and_the_pinned_ratio(pingpong):
     run = subprocess.run(
-        [sys.executable, str(TOOLS_DIR / "pingpong.py"), "--rounds", "20",
+        [sys.executable, pingpong.__file__, "--rounds", "20",
          "--reps", "2"], capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()

@@ -8,8 +8,8 @@ from teebench.core import SharedMode
 KIB = 1024
 
 
-def make_region(mode, size=8 * KIB, offset=0, length=None, region_id=1):
-    return SharedRegion(region_id, size, mode, offset, length)
+def make_region(mode, size=8 * KIB, offset=0, length=None):
+    return SharedRegion(size, mode, offset, length)
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestAllocation:
 
     def test_temporary_is_invocation_bound(self):
         temporary = make_region(SharedMode.TEMPORARY, size=KIB)
-        whole = make_region(SharedMode.WHOLE, size=KIB, region_id=2)
+        whole = make_region(SharedMode.WHOLE, size=KIB)
         views = []
         runtime = TrustedRuntime(None, whole.descriptor)
         runtime._enter([temporary.descriptor, whole.descriptor], views.extend)

@@ -1,19 +1,9 @@
-import importlib
-import sys
-from pathlib import Path
-
 import pytest
-
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
-def srcloc():
-    sys.path.insert(0, str(TOOLS_DIR))
-    try:
-        return importlib.import_module("srcloc")
-    finally:
-        sys.path.remove(str(TOOLS_DIR))
+def srcloc(import_from):
+    return import_from("tools", "srcloc")
 
 
 def test_counts_leave_out_blank_comment_and_docstring_lines(srcloc, tmp_path, capsys):
