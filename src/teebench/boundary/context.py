@@ -34,12 +34,16 @@ child thus holds only what its OPEN names, which it maps again through
 socket or channel.
 
 Every message between the two worlds is one world crossing and one
-injection of ``switch_cost`` wall time, both done by ``Session._cross``
-and nowhere else: a relayed socket call costs two crossings and an
-open/invoke/close costs two. A message is a bare header; ``Session._call``
-stages the request in the session scratch region at window offset 0
-before it crosses. An OPEN or INVOKE stages one fixed operation
-(``protocol``): a TA command, a parameter-types word and four
+injection of ``switch_cost`` wall time: an open/invoke/close costs two,
+charged by ``Session._cross``, and so does a relayed socket call. The
+inline channel serves a relayed call through ``Session._serve``, which
+charges it through ``_cross``. The process channel serves it in
+``exchange``'s own loop, which charges both crossings itself: the one
+deliberate copy of ``_cross``, kept because a Python call per crossing
+costs about 1% of a 1 KiB relayed send. A message is a bare header;
+``Session._call`` stages the request in the session scratch region at
+window offset 0 before it crosses. An OPEN or INVOKE stages one fixed
+operation (``protocol``): a TA command, a parameter-types word and four
 parameters, each a value of up to three u64s or a memory reference
 whose six fields (region id, owner pid, fd, size, window) are u32s;
 OPEN appends the TA name. Every region a call names is described in
@@ -293,8 +297,10 @@ class Session:
         return status, length
 
     def _serve(self, msg: tuple) -> int:
-        """Service one relayed socket call the trusted side made; ``msg``
-        is the bare 5-tuple of its header, fields in ``Message``'s order."""
+        """The inline channel's path for one relayed socket call the
+        trusted side made; ``msg`` is the bare 5-tuple of its header,
+        fields in ``Message``'s order. The process channel serves its
+        calls in ``exchange``, with the same accounting."""
         self._cross()
         status = self._supplicant.service(msg, self._relay_regions)
         stats = self._stats
@@ -525,7 +531,7 @@ class _ProcessChannel:
     """
 
     def __init__(self, session: Session):
-        self._serve = session._serve
+        self._session = session
         scratch = session._scratch.descriptor
         self._page = mmap.mmap(-1, 2 * HEADER_SIZE)
         self._to_child = _Port(self._page, 0)
@@ -555,14 +561,29 @@ class _ProcessChannel:
         _held.add(self)
 
     def exchange(self, command: int, length: int) -> tuple[int, int]:
-        """Send one request, relaying the trusted side's calls until RETURN."""
-        to_child, to_parent, serve = self._to_child, self._to_parent, self._serve
+        """Send one request, serving the trusted side's relayed calls until
+        RETURN, each as ``Session._serve`` would, without its calls."""
+        to_child, to_parent = self._to_child, self._to_parent
+        session = self._session
+        stats, cost = session._stats, session._switch_cost
+        supplicant, regions = session._supplicant, session._relay_regions
+        service = Supplicant.service  # per exchange, so a later patch is seen
         try:
             write_message(to_child, command, 0, 0, length)
             while (msg := read_message(to_parent)) is not None:
                 if msg[0] == RETURN:
                     return msg[4], msg[3]  # status, reply length
-                write_message(to_child, RETURN, 0, 0, 0, serve(msg))
+                stats.crossings += 1
+                if cost:
+                    clock.inject_delay(cost)
+                status = service(supplicant, msg, regions)
+                stats.rpc_count += 1
+                if status > 0 and (msg[0] == SOCK_SEND or msg[0] == SOCK_RECV):
+                    stats.bytes_copied += status
+                stats.crossings += 1
+                if cost:
+                    clock.inject_delay(cost)
+                write_message(to_child, RETURN, 0, 0, 0, status)
         except ValueError:  # a second post the child never took: it is gone
             pass
         raise BoundaryError("trusted process terminated unexpectedly")

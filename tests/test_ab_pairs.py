@@ -74,6 +74,18 @@ def test_bases_are_read_from_the_series_lines_of_a_report(ab_pairs):
     assert ab_pairs.parse_bases('{"correct": false}\n') == {}
 
 
+def test_a_report_is_read_with_its_bases_and_provenance(ab_pairs):
+    report = 'provenance {"workload": "relay-1k", "seed": 7}\n' + _REPORT
+    result = ab_pairs.read_report(report)
+    assert result["correct"] is True
+    assert result["provenance"] == {"workload": "relay-1k", "seed": 7}
+    assert result["bases"] == ab_pairs.parse_bases(_REPORT)
+    assert ab_pairs.read_report(report, returncode=1)["correct"] is False
+    assert ab_pairs.read_report(_REPORT)["provenance"] is None
+    assert ab_pairs.read_report("", "Traceback\nboom\n", 1) == {
+        "correct": False, "metrics": {}, "error": "boom"}
+
+
 def test_summary_gives_each_sides_quartiles_of_the_bases(ab_pairs):
     def run(goodput, direct=None):
         result = _result(slowdown_x=2.0)

@@ -298,6 +298,28 @@ class _OddStatusTa:
         return 99
 
 
+@register_ta("test-accounting-script")
+class _AccountingScriptTa:
+    """Relays one of each kind of call: to a TCP peer on the given port a
+    send, an ioctl and a recv; two sends to the discard sink; a send
+    naming a region the session never shared (EFAULT) and one naming a
+    handle never opened (EBADF); then the close. Reports each status."""
+
+    def on_invoke(self, env, command, params):
+        (port,) = params.values
+        live = env.open_socket("127.0.0.1", port, Protocol.TCP)
+        sent = live.send(b"x" * KIB)
+        live.ioctl(IoctlCode.SET_BUF_SIZES, (64 * KIB, 64 * KIB))
+        received = len(live.recv(4 * KIB))
+        discard = env.discard_socket()
+        discarded = discard.send(b"y" * 100) + discard.send(b"z" * 200)
+        scratch = env.scratch.descriptor.region_id
+        fault = env.rpc(Command.SOCK_SEND, scratch + 1, 0, 16, DISCARD_HANDLE)
+        bad_handle = env.rpc(Command.SOCK_SEND, scratch, 0, 16, 999)
+        live.close()
+        return TeeResult.SUCCESS, (sent, received, discarded, -fault, -bad_handle)
+
+
 class TestContextLifecycle:
     def test_initialize_gives_empty_context_and_zeroed_stats(self, transport):
         ctx = initialize_context(transport=transport)
@@ -1145,6 +1167,94 @@ def test_both_transports_answer_a_probe_script_alike():
     assert inline_stats.crossings == 2 * (7 + 7 + 2)
 
 
+def _accounting_script(transport, monkeypatch):
+    """The accounting script over one transport against a TCP peer that
+    writes 512 bytes and reads to EOF: the invoke's result, the boundary
+    statistics and each delay injected."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def peer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(b"p" * 512)
+            while conn.recv(64 * KIB):
+                pass
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    injected = []
+    monkeypatch.setattr(clock, "inject_delay", injected.append)
+    try:
+        ctx = initialize_context(transport=transport, switch_cost=1e-6)
+        session = ctx.open_session("test-accounting-script")
+        result = session.invoke(1, values=(listener.getsockname()[1],))
+        session.close()
+        stats = ctx.stats
+        ctx.finalize()
+    finally:
+        monkeypatch.undo()
+        thread.join(timeout=10)
+        listener.close()
+    return result, stats, injected
+
+
+def test_both_transports_account_relayed_calls_alike(monkeypatch):
+    # the process channel serves relayed calls in its own loop, with its
+    # own copy of the accounting the inline channel gets from Session
+    runs = {t: _accounting_script(t, monkeypatch) for t in ("inline", "process")}
+    (inline, inline_stats, _), (process, process_stats, _) = runs.values()
+    assert inline == process == (
+        TeeResult.SUCCESS, (KIB, 512, 300, errno.EFAULT, errno.EBADF))
+    assert inline_stats == process_stats
+    # open, send, ioctl, recv, two discard sends, EFAULT, EBADF, close
+    assert inline_stats.rpc_count == 9
+    assert inline_stats.crossings == 2 * (9 + 3)
+    assert inline_stats.bytes_copied == KIB + 512 + 300
+    for _, stats, injected in runs.values():
+        assert injected == [1e-6] * stats.crossings
+
+
+def test_the_trusted_world_frames_through_the_traced_names(monkeypatch):
+    # a tracer's wrappers reach the trusted process only by inheritance, so
+    # they are set before the session forks it; a frame the trusted world
+    # wrote or read around these names would vanish from its self times
+    sends, parent = 5, os.getpid()
+    counts = mmap.mmap(-1, 8)  # the trusted world's reads, then its writes
+
+    def counting(slot, fn):
+        def counted(*args):
+            if os.getpid() == parent:
+                return fn(*args)
+            if slot:  # before the frame goes, so the parent sees the count
+                struct.pack_into("I", counts, 4, struct.unpack_from(
+                    "I", counts, 4)[0] + 1)
+            result = fn(*args)
+            if not slot:  # after the frame came, so an idle wait is not one
+                struct.pack_into("I", counts, 0, struct.unpack_from(
+                    "I", counts, 0)[0] + 1)
+            return result
+        return counted
+
+    monkeypatch.setattr(context, "read_message",
+                        counting(0, context.read_message))
+    monkeypatch.setattr(context, "write_message",
+                        counting(1, context.write_message))
+    ctx = initialize_context(transport="process")
+    session = ctx.open_session("probe")
+    try:
+        before = struct.unpack("II", counts)
+        session.invoke(ProbeCommand.SEND_DISCARD, values=(sends, KIB))
+        after = struct.unpack("II", counts)
+    finally:
+        session.close()
+        ctx.finalize()
+        counts.close()
+    # the INVOKE and each relayed call's reply in; each request and RETURN out
+    assert (after[0] - before[0], after[1] - before[1]) == (sends + 1, sends + 1)
+
+
 # opens a process session, prints its trusted child's pid, then waits
 _ORPHANING_RUN = """
 import time
@@ -1389,6 +1499,35 @@ class TestTrustedProcessOrphaned:
         while not _gone_or_zombie(grandchild) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert _gone_or_zombie(grandchild), "trusted process outlived its parent"
+
+    def test_a_grandchild_waiting_on_a_relayed_call_exits_when_its_parent_dies(
+            self, capfd):
+        # the forked helper dies inside its supplicant, so its trusted
+        # child is left blocked on the reply to a relayed send
+        r, w = os.pipe()
+        helper = os.fork()
+        if helper == 0:
+            try:
+                os.close(r)
+                session = initialize_context(
+                    transport="process").open_session("probe")
+                os.write(w, b"%d" % session._channel._pid)
+                Supplicant.service = lambda *args: os._exit(0)
+                session.invoke(ProbeCommand.SEND_DISCARD, values=(1, KIB))
+            finally:
+                os._exit(1)
+        os.close(w)
+        try:
+            grandchild = int(os.read(r, 64))
+        finally:
+            os.close(r)
+            _, status = os.waitpid(helper, 0)
+        assert os.waitstatus_to_exitcode(status) == 0  # it died serving
+        deadline = time.monotonic() + 0.5
+        while not _gone_or_zombie(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _gone_or_zombie(grandchild), "trusted process outlived its parent"
+        assert "relay closed while waiting for a reply" in capfd.readouterr().err
 
     @pytest.mark.parametrize("cause", ["pidfd_open", "getppid"])
     def test_a_child_whose_parent_is_gone_before_the_watch_exits_quietly(

@@ -59,28 +59,42 @@ def parse_bases(stdout: str) -> dict[str, float]:
     return bases
 
 
+def parse_provenance(stdout: str) -> dict | None:
+    """The JSON of a run's ``provenance`` line, or None if it has none."""
+    for line in stdout.splitlines():
+        if line.startswith("provenance "):
+            return json.loads(line[len("provenance "):])
+    return None
+
+
+def read_report(stdout: str, stderr: str = "", returncode: int = 0) -> dict:
+    """A run's result line, with the bases and the provenance its report
+    gives, or a stand-in that is not correct when the run wrote none."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        tail = (stderr.strip().splitlines() or ["no output"])[-1]
+        return {"correct": False, "metrics": {}, "error": tail}
+    if returncode != 0:
+        result["correct"] = False
+    result["bases"] = parse_bases(stdout)
+    result["provenance"] = parse_provenance(stdout)
+    return result
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its result line, or a stand-in that is not
-    correct when the run wrote none."""
+    """One benchmark run, read by ``read_report``."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"correct": False, "metrics": {}, "error": tail}
-    if proc.returncode != 0:
-        result["correct"] = False
-    result["bases"] = parse_bases(proc.stdout)
-    return result
+    return read_report(proc.stdout, proc.stderr, proc.returncode)
 
 
-def _quartiles(values: list[float]) -> tuple[float, float, float]:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         v = values[0]
         return v, v, v
@@ -103,8 +117,8 @@ def verdict(parent: list[float], change: list[float], wins: int,
     as the module docstring defines them; ``parent`` and ``change`` are
     the values of the same pairs, ``wins`` how many the change won."""
     sign = -1 if direction == "lower" else 1
-    p1, p_med, p3 = _quartiles(parent)
-    c1, c_med, c3 = _quartiles(change)
+    p1, p_med, p3 = quartiles(parent)
+    c1, c_med, c3 = quartiles(change)
     gap = sign * (c_med - p_med)  # > 0 when the change's median is better
     if wins >= 0.9 * len(parent) and gap > p3 - p1:
         return "gain"
@@ -143,7 +157,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         values = [[pair[i]["bases"][name] for pair in pairs
                    if name in pair[i].get("bases", {})] for i in range(2)]
         if any(values):
-            bases[name] = {side: _quartiles(v) if v else None
+            bases[name] = {side: quartiles(v) if v else None
                            for side, v in zip(sides, values)}
     out = {}
     for name, direction in better.items():
@@ -155,8 +169,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         sign = -1 if direction == "lower" else 1
         wins = sum(1 for p, c in both if sign * (c - p) > 0)
         losses = sum(1 for p, c in both if sign * (c - p) < 0)
-        parent = _quartiles([p for p, _ in both])
-        change = _quartiles([c for _, c in both])
+        parent = quartiles([p for p, _ in both])
+        change = quartiles([c for _, c in both])
         out[name] = {
             "n": len(both), "parent": parent, "change": change,
             "wins": wins, "losses": losses, "p": sign_test_p(wins, losses),
