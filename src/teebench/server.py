@@ -19,7 +19,23 @@ queued, or at EOF or an error (which still deliver a shorter tail). The
 first receive runs with the default mark of one byte, so ``first`` is
 when data first arrived, not when a mark's worth had. Since a slow flow
 may then not wake the sink for a long time, the smoothed RTT is sampled
-whenever a receive waits ``rtt_sample_interval`` without returning.
+whenever a receive waits ``RTT_SAMPLE_INTERVAL`` without returning.
+
+``stop()`` wakes each protocol's loop by shutting its socket down, so it
+returns as soon as running flows drain, with no stop flag to poll. This
+relies on Linux, so the sink needs Linux. A shut-down TCP listener's
+``accept`` fails (EINVAL), which ends the accept loop. A shut-down UDP
+socket's receive returns the datagrams already queued and then one with
+no sender, which ends the UDP loop. Shutdown alone does not stop new
+datagrams from being queued, so a client still sending could keep that
+loop draining; ``stop()`` therefore first connects the UDP socket to
+itself, which turns every other sender away and leaves the loop only
+what was queued. The end of the queue shows only for a blocking receive
+(a non-blocking one returns EAGAIN until its timeout), so the UDP loop's
+0.1 s tick, at which it also ends idle flows, is a kernel receive
+timeout (``SO_RCVTIMEO``), not ``settimeout``. The idle timeout and the
+RTT cadence are module constants: every caller of the sink keeps their
+defaults, and tests shorten them by patching this module.
 """
 
 from __future__ import annotations
@@ -42,6 +58,11 @@ from .core import (
 # byte offset of tcpi_rtt (u32, microseconds) in struct tcp_info
 _TCP_INFO_RTT_OFFSET = 68
 _TCP_INFO_LEN = 104
+# A UDP flow ends after this long without a datagram (seconds).
+UDP_IDLE_TIMEOUT = 2.0
+# A TCP receive that waits this long without data takes an RTT sample
+# (seconds).
+RTT_SAMPLE_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,8 +72,6 @@ class ServerConfig:
     protocol: Protocol = Protocol.TCP
     recv_buffer: int = DEFAULT_CHUNK_SIZE
     socket_buffer: int = DEFAULT_SOCKET_BUFFER
-    udp_idle_timeout: float = 2.0
-    rtt_sample_interval: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,6 @@ class BenchmarkServer:
         self.cfg = cfg or ServerConfig()
         self._collected: list[ServerMetrics] = []
         self._arrived = threading.Condition()
-        self._stop = threading.Event()
         self._listener: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
         self._sock: socket.socket | None = None
@@ -139,11 +157,13 @@ class BenchmarkServer:
                 sock.listen(16)
             else:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
+                # the UDP loop's 0.1 s tick (struct timeval: s, µs)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                struct.pack("ll", 0, 100_000))
                 sock.bind((cfg.bind, cfg.port))
         except OSError:
             sock.close()
             raise
-        sock.settimeout(0.2 if tcp else 0.1)
         runner = self._tcp_accept_loop if tcp else self._udp_loop
         self._sock = sock
         self.port = sock.getsockname()[1]
@@ -152,15 +172,24 @@ class BenchmarkServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, drain running flows and close the listener."""
-        self._stop.set()
-        if self._listener is not None:
-            self._listener.join(timeout=10)
+        """Stop accepting, drain running flows and close the listener.
+
+        Shutting the listening socket down wakes its loop at once (see
+        the module docstring). A UDP socket is first connected to
+        itself, so that no client's datagrams are queued after this
+        call; those already queued are still recorded. Running TCP flows
+        still end at their peer's close; UDP flows end with the loop.
+        """
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        if self.cfg.protocol is Protocol.UDP:
+            sock.connect(sock.getsockname())
+        sock.shutdown(socket.SHUT_RDWR)
+        self._listener.join(timeout=10)
         for worker in self._workers:
             worker.join(timeout=10)
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        sock.close()
 
     def __enter__(self) -> "BenchmarkServer":
         return self.start()
@@ -194,12 +223,10 @@ class BenchmarkServer:
     # -- TCP -----------------------------------------------------------------
 
     def _tcp_accept_loop(self, sock: socket.socket) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:         # EINVAL once stop() shut it down
                 break
             worker = threading.Thread(
                 target=self._tcp_flow, args=(conn, addr), daemon=True
@@ -211,8 +238,7 @@ class BenchmarkServer:
     def _tcp_flow(self, conn: socket.socket, addr) -> None:
         cfg = self.cfg
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
-        # A receive that waits this long without data takes an RTT sample.
-        conn.settimeout(cfg.rtt_sample_interval)
+        conn.settimeout(RTT_SAMPLE_INTERVAL)
         mark = min(cfg.recv_buffer, cfg.socket_buffer) // 2
         flow = _Flow(addr)
         error = None
@@ -236,7 +262,7 @@ class BenchmarkServer:
                     flow.add(data, now)
                 elif data is not None:
                     break
-                if data is None or now - last_probe >= cfg.rtt_sample_interval:
+                if data is None or now - last_probe >= RTT_SAMPLE_INTERVAL:
                     last_probe = now
                     info = probe_transport(conn)
                     if info.smoothed_rtt is not None:
@@ -259,21 +285,23 @@ class BenchmarkServer:
     def _udp_loop(self, sock: socket.socket) -> None:
         cfg = self.cfg
         flows: dict[tuple, _Flow] = {}
-        while not self._stop.is_set():
+        while True:
             try:
                 data, addr = sock.recvfrom(cfg.recv_buffer)
+                if addr is None:    # no sender: stop() shut it down
+                    break
                 now = clock.monotonic()
                 flow = flows.get(addr)
                 if flow is None:
                     flow = flows[addr] = _Flow(addr)
                 flow.add(data, now)
-            except socket.timeout:
+            except BlockingIOError:     # the receive tick passed
                 pass
             except OSError:
                 break
             now = clock.monotonic()
             for addr in [a for a, f in flows.items()
-                         if now - f.last > cfg.udp_idle_timeout]:
+                         if now - f.last > UDP_IDLE_TIMEOUT]:
                 self._emit(flows.pop(addr).record(Protocol.UDP))
         for flow in flows.values():
             self._emit(flow.record(Protocol.UDP))

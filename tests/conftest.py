@@ -94,9 +94,9 @@ def tcp_server():
 
 
 @pytest.fixture
-def udp_server():
-    cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP,
-                       udp_idle_timeout=0.3)
+def udp_server(monkeypatch):
+    monkeypatch.setattr("teebench.server.UDP_IDLE_TIMEOUT", 0.3)
+    cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP)
     with BenchmarkServer(cfg) as server:
         yield server
 

@@ -12,6 +12,7 @@ import threading
 import time
 import zlib
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +42,7 @@ from teebench.boundary.protocol import (
 from teebench.boundary.regions import SharedRegion
 from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
-from teebench.boundary.trusted import SocketState, TrustedRuntime
+from teebench.boundary.trusted import SocketState, TeeSocket, TrustedRuntime
 from teebench.core import (
     TA_MEMORY_LIMIT,
     Execution,
@@ -857,11 +858,11 @@ class TestSocketFacade:
         session.close()
         ctx.finalize()
 
-    def test_udp_set_peer_retargets_subsequent_sends(self, transport):
+    def test_udp_set_peer_retargets_subsequent_sends(self, transport, monkeypatch):
         from teebench.server import BenchmarkServer, ServerConfig
 
-        cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP,
-                           udp_idle_timeout=0.2)
+        monkeypatch.setattr("teebench.server.UDP_IDLE_TIMEOUT", 0.2)
+        cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP)
         with BenchmarkServer(cfg) as a, BenchmarkServer(cfg) as b:
             ctx = initialize_context(transport=transport)
             session = ctx.open_session("probe")
@@ -1027,6 +1028,44 @@ class TestSocketFacade:
         assert result.status == TeeResult.SUCCESS
         assert result.values == (100_000, zlib.crc32(payload), 0)
         assert stats.bytes_copied == 100_000
+
+
+class _FakeScratch:
+    """The slice of a trusted scratch view a ``TeeSocket`` binds."""
+
+    window_length = 4
+    descriptor = SimpleNamespace(region_id=7)
+
+    def stage(self, data, n):
+        pass
+
+
+class TestTeeSocketRelayResults:
+    """What a ``TeeSocket`` makes of its relayed calls' statuses, over a
+    fake relay port that records each call."""
+
+    def socket_over(self, *statuses):
+        calls = []
+        replies = iter(statuses)
+
+        def rpc(command, region_id, offset, length, handle):
+            calls.append((command, length))
+            return next(replies)
+
+        return TeeSocket(SimpleNamespace(scratch=_FakeScratch(), rpc=rpc), 3), calls
+
+    def test_a_send_over_the_window_stops_at_the_first_short_piece(self):
+        sock, calls = self.socket_over(4, 1, 4)
+        assert sock.send(b"x" * 10) == 5
+        assert calls == [(Command.SOCK_SEND, 4), (Command.SOCK_SEND, 4)]
+
+    def test_a_failed_relayed_close_raises_its_errno_and_closes(self):
+        sock, calls = self.socket_over(-errno.EIO)
+        with pytest.raises(TeeSocketError) as exc:
+            sock.close()
+        assert exc.value.errno == errno.EIO
+        assert sock.state is SocketState.CLOSED
+        assert calls == [(Command.SOCK_CLOSE, 0)]
 
 
 class TestFaultContainment:

@@ -85,6 +85,18 @@ class TestValidateConfig:
         fields = {field for field, _ in exc.value.errors}
         assert {"bitrate", "chunk_size", "port", "switch_cost"} <= fields
 
+    @pytest.mark.parametrize("mode, stop, field", [
+        (Mode.FIXED_BYTES, {"total_bytes": 0}, "total_bytes"),
+        (Mode.FIXED_DURATION, {"duration": None}, "duration"),
+    ])
+    def test_stop_condition_buffer_and_host_reported_together(
+            self, mode, stop, field):
+        cfg = RunConfig(mode=mode, socket_buffer_size=0, host="", **stop)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert [name for name, _ in exc.value.errors] == [
+            field, "socket_buffer_size", "host"]
+
     def test_mode_required_fields(self):
         with pytest.raises(ConfigError):
             validate_config(RunConfig(mode=Mode.FIXED_BYTES, total_bytes=None))

@@ -1,10 +1,14 @@
 import socket
+import statistics
+import threading
 import time
 
 import pytest
 
 from teebench.core import Protocol
-from teebench.server import BenchmarkServer, ServerConfig, probe_transport
+from teebench.server import (
+    RTT_SAMPLE_INTERVAL, BenchmarkServer, ServerConfig, _Flow, probe_transport,
+)
 
 
 def blast(port, data, chunk=65536):
@@ -48,8 +52,9 @@ class TestTcpFlows:
         assert record.max_segment_size >= 536
         assert record.smoothed_rtt is None or 0 <= record.smoothed_rtt < 1.0
 
-    def test_rtt_sampled_roughly_once_per_interval(self):
-        cfg = ServerConfig(bind="127.0.0.1", port=0, rtt_sample_interval=0.15)
+    def test_rtt_sampled_roughly_once_per_interval(self, monkeypatch):
+        monkeypatch.setattr("teebench.server.RTT_SAMPLE_INTERVAL", 0.15)
+        cfg = ServerConfig(bind="127.0.0.1", port=0)
         with BenchmarkServer(cfg) as server:
             sock = socket.create_connection(("127.0.0.1", server.port))
             for _ in range(6):
@@ -60,7 +65,7 @@ class TestTcpFlows:
             assert len(record.rtt_samples) >= 3
 
     def test_default_rtt_cadence_is_one_second(self):
-        assert ServerConfig().rtt_sample_interval == 1.0
+        assert RTT_SAMPLE_INTERVAL == 1.0
 
     def test_reset_recorded_in_that_flows_metrics(self, tcp_server):
         sock = socket.create_connection(("127.0.0.1", tcp_server.port))
@@ -133,3 +138,62 @@ def test_bind_failure_raises():
             BenchmarkServer(ServerConfig(bind="127.0.0.1",
                                          port=server.port)).start()
 
+
+
+class TestStop:
+    @pytest.mark.parametrize("protocol", [Protocol.TCP, Protocol.UDP])
+    def test_stop_returns_without_waiting_out_a_poll(self, protocol):
+        cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=protocol)
+        took = []
+        for _ in range(5):
+            sink = BenchmarkServer(cfg).start()
+            time.sleep(0.05)
+            began = time.monotonic()
+            sink.stop()
+            took.append(time.monotonic() - began)
+            sink.stop()  # a second stop does nothing
+        assert statistics.median(took) < 0.02, took
+
+    def test_stop_still_records_the_datagrams_already_queued(self):
+        cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP)
+        sink = BenchmarkServer(cfg).start()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        for _ in range(3):
+            sock.sendto(b"d" * 100, ("127.0.0.1", sink.port))
+        sock.close()
+        sink.stop()
+        assert [r.bytes_received for r in sink.collected()] == [300]
+
+    def test_stop_ends_while_a_client_keeps_sending(self, monkeypatch):
+        # A reader slower than its sender, so the queue never empties.
+        add = _Flow.add
+
+        def slow_add(flow, data, now):
+            time.sleep(0.001)
+            add(flow, data, now)
+
+        monkeypatch.setattr(_Flow, "add", slow_add)
+        cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP,
+                           socket_buffer=4096)
+        sink = BenchmarkServer(cfg).start()
+        sending = threading.Event()
+        sending.set()
+
+        def send():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                while sending.is_set():
+                    sock.sendto(b"d" * 100, ("127.0.0.1", sink.port))
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            time.sleep(0.1)
+            began = time.monotonic()
+            sink.stop()
+            took = time.monotonic() - began
+            records = sink.collected()
+        finally:
+            sending.clear()
+            sender.join()
+        assert took < 1.0, took
+        assert len(records) == 1 and records[0].bytes_received > 0

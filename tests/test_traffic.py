@@ -272,6 +272,44 @@ class TestFailureModes:
         assert metrics.error is not None
         assert metrics.total_runtime < 2.0  # stopped at the reset
 
+    def test_a_send_of_zero_bytes_ends_the_run(self):
+        class Stalled(_LateFirstSocket):
+            calls = 0
+
+            def send(self, data):
+                self.calls += 1
+                if self.calls > 1:  # a second call would loop for ever
+                    raise OSError(5, "sent again after accepting nothing")
+                return 0
+
+        sock = Stalled(0)
+        metrics = run_measurement(
+            RunConfig(mode=Mode.FIXED_BYTES, total_bytes=KIB, port=1),
+            _ClockedEnv(sock))
+        assert metrics.error == "transport accepted zero bytes"
+        assert sock.calls == metrics.transmit_calls == 1
+        assert metrics.bytes_transferred == 0
+
+    def test_a_failing_close_still_yields_the_metrics(self):
+        class BadClose(_LateFirstSocket):
+            def close(self):
+                raise OSError(9, "bad close")
+
+        class Env(_ClockedEnv):
+            freed = 0
+
+            def free(self, nbytes):
+                self.freed += nbytes
+
+        env = Env(BadClose(0))
+        metrics = run_measurement(
+            RunConfig(mode=Mode.FIXED_BYTES, total_bytes=4 * KIB,
+                      chunk_size=KIB, port=1), env)
+        assert metrics.error is None
+        assert metrics.transmit_calls == 4
+        assert metrics.bytes_transferred == 4 * KIB
+        assert env.freed == KIB
+
 
 def test_direct_env_round_trips_through_a_socketpair():
     env = DirectEnv()
