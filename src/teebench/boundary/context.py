@@ -296,11 +296,12 @@ class Session:
         self._cross()
         return status, length
 
-    def _serve(self, msg: tuple) -> int:
+    def _serve(self, *msg) -> int:
         """The inline channel's path for one relayed socket call the
-        trusted side made; ``msg`` is the bare 5-tuple of its header,
-        fields in ``Message``'s order. The process channel serves its
-        calls in ``exchange``, with the same accounting."""
+        trusted side made, as the runtime's ``rpc``: ``msg`` is the bare
+        5-tuple of its header, fields in ``Message``'s order. The process
+        channel serves its calls in ``exchange``, with the same
+        accounting."""
         self._cross()
         status = self._supplicant.service(msg, self._relay_regions)
         stats = self._stats
@@ -609,10 +610,7 @@ class _InlineChannel:
     it unmaps what the session shared, also after a failed open."""
 
     def __init__(self, session: Session):
-        def rpc(*fields) -> int:  # ``fields`` is already the exact header tuple
-            return session._serve(fields)
-
-        self.runtime = TrustedRuntime(rpc, session._scratch.descriptor)
+        self.runtime = TrustedRuntime(session._serve, session._scratch.descriptor)
         self.exchange = self.runtime.dispatch
         self.close = self.runtime._revoke_all
 

@@ -17,7 +17,10 @@ crossing-accounting runs: it answers like any socket, copying each send
 out of shared memory and dropping it and answering recv with EOF.
 
 ``OsSocket`` is the one OS-socket surface of the package: the supplicant
-maps each handle to one, and native (direct) runs use it as is.
+maps each handle to one, and native (direct) runs use it as is. A host
+that does not resolve fails with EHOSTUNREACH: the resolver's own
+(EAI) codes are negative, so negated they would read as a handle or as
+success.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import socket
 import struct
 import sys
 import traceback
+from contextlib import contextmanager
 
 from ..core import Protocol
 from .errors import RegionFault
@@ -53,24 +57,35 @@ def _staged(regions, msg: tuple) -> bytes:
     return region.window_read(msg[2], msg[3])
 
 
+@contextmanager
+def _resolving():
+    """Raise a resolver failure (``socket.gaierror``) as EHOSTUNREACH."""
+    try:
+        yield
+    except socket.gaierror as exc:
+        raise OSError(errno.EHOSTUNREACH, exc.strerror) from None
+
+
 class OsSocket:
     """Connected OS socket with the same surface as the relayed facade.
 
-    An OS failure propagates as ``OSError``; over the relay the supplicant
-    records its errno as the handle's last error.
+    An OS failure propagates as ``OSError``, a host that does not resolve
+    as EHOSTUNREACH; over the relay the supplicant records its errno as
+    the handle's last error.
     """
 
     def __init__(self, host: str, port: int, protocol: Protocol):
         self.protocol = protocol
-        if protocol is Protocol.TCP:
-            self.raw = socket.create_connection((host, port))
-        else:
-            self.raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            try:
-                self.raw.connect((host, port))
-            except OSError:
-                self.raw.close()
-                raise
+        with _resolving():
+            if protocol is Protocol.TCP:
+                self.raw = socket.create_connection((host, port))
+            else:
+                self.raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                try:
+                    self.raw.connect((host, port))
+                except OSError:
+                    self.raw.close()
+                    raise
 
     def send(self, data) -> int:
         return self.raw.send(data)
@@ -88,7 +103,8 @@ class OsSocket:
         elif self.protocol is not Protocol.UDP:
             raise OSError(errno.EOPNOTSUPP, "SET_PEER needs a UDP socket")
         else:
-            self.raw.connect(arg)
+            with _resolving():
+                self.raw.connect(arg)
 
     def close(self) -> None:
         self.raw.close()

@@ -157,8 +157,8 @@ def parse_args(argv) -> ParsedInvocation:
     else:
         mode = Mode.FIXED_DURATION
 
-    # for the server role the chunk is only a receive buffer, and a UDP
-    # datagram can never exceed the payload limit anyway
+    # the server does not use the chunk (the sink sizes its own
+    # receives), so a UDP server's clamp only lets its config validate
     length = ns.length
     if role == "server" and ns.udp:
         length = min(length, MAX_UDP_PAYLOAD)
@@ -343,7 +343,6 @@ def _run_server_role(inv: ParsedInvocation, stream, flow_limit=None) -> dict:
         port=cfg.port,
         protocol=cfg.protocol,
         socket_buffer=cfg.socket_buffer_size,
-        recv_buffer=cfg.chunk_size,
     )
     server = BenchmarkServer(server_cfg).start()
     print(f"listening on port {server.port} ({cfg.protocol.value})", file=stream)

@@ -38,9 +38,8 @@ def wait_until(deadline: float) -> float:
 
 
 def inject_delay(cost: float) -> None:
-    """Burn ``cost`` seconds of wall time (>= cost, tightly bounded above)."""
-    if cost <= 0:
-        return
+    """Burn ``cost`` seconds of wall time (>= cost, tightly bounded above);
+    a cost of zero or less returns at once."""
     wait_until(monotonic() + cost)
 
 

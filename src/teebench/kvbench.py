@@ -167,9 +167,8 @@ class _BoundaryKvRunner:
 
 
 def _latency_stats(latencies: list[float]) -> tuple[float, float, float, float]:
-    if len(latencies) == 1:
-        only = latencies[0]
-        return only, only, only, only
+    """Mean, p50, p95 and p99 of at least two latencies (a rate point
+    runs at least 4 ops)."""
     qs = statistics.quantiles(latencies, n=100)
     return statistics.fmean(latencies), qs[49], qs[94], qs[98]
 

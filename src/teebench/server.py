@@ -1,5 +1,10 @@
-"""Measuring sink: drains TCP connections or UDP datagram flows into a
-fixed buffer and records per-flow ServerMetrics.
+"""Measuring sink: drains TCP connections or UDP datagram flows and
+records per-flow ServerMetrics.
+
+The sink works out its own receive sizes, so no caller can make it
+mis-count: a TCP flow reads up to ``TCP_READ_SIZE`` (128 KiB) at a time,
+and the UDP loop receives up to ``MAX_UDP_PAYLOAD``, the largest payload
+of an IPv4 datagram, so every datagram is read whole.
 
 The server always runs in the normal (untrusted) environment. Both
 protocols account a flow in one accumulator (``_Flow``: peer, first and
@@ -13,7 +18,7 @@ after an idle timeout.
 The sink shares its process, and often its core, with the client it
 measures, so its own wake-ups are billed to that client. A TCP flow
 therefore lets the kernel coalesce them: after the first receive it
-sets ``SO_RCVLOWAT`` to half of the smaller of the receive buffer and
+sets ``SO_RCVLOWAT`` to half of the smaller of ``TCP_READ_SIZE`` and
 the socket buffer, so a receive returns only once that many bytes are
 queued, or at EOF or an error (which still deliver a shorter tail). The
 first receive runs with the default mark of one byte, so ``first`` is
@@ -33,9 +38,10 @@ itself, which turns every other sender away and leaves the loop only
 what was queued. The end of the queue shows only for a blocking receive
 (a non-blocking one returns EAGAIN until its timeout), so the UDP loop's
 0.1 s tick, at which it also ends idle flows, is a kernel receive
-timeout (``SO_RCVTIMEO``), not ``settimeout``. The idle timeout and the
-RTT cadence are module constants: every caller of the sink keeps their
-defaults, and tests shorten them by patching this module.
+timeout (``SO_RCVTIMEO``), not ``settimeout``. The receive sizes, the
+idle timeout and the RTT cadence are module constants: every caller of
+the sink keeps them, and tests shorten the two timings by patching this
+module.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .core import (
     DEFAULT_PORT,
     DEFAULT_SOCKET_BUFFER,
     DEFAULT_CHUNK_SIZE,
+    MAX_UDP_PAYLOAD,
     Protocol,
     ServerMetrics,
 )
@@ -58,6 +65,8 @@ from .core import (
 # byte offset of tcpi_rtt (u32, microseconds) in struct tcp_info
 _TCP_INFO_RTT_OFFSET = 68
 _TCP_INFO_LEN = 104
+# A TCP flow reads up to this many bytes per receive.
+TCP_READ_SIZE = DEFAULT_CHUNK_SIZE
 # A UDP flow ends after this long without a datagram (seconds).
 UDP_IDLE_TIMEOUT = 2.0
 # A TCP receive that waits this long without data takes an RTT sample
@@ -70,7 +79,6 @@ class ServerConfig:
     bind: str = ""                  # all interfaces
     port: int = DEFAULT_PORT
     protocol: Protocol = Protocol.TCP
-    recv_buffer: int = DEFAULT_CHUNK_SIZE
     socket_buffer: int = DEFAULT_SOCKET_BUFFER
 
 
@@ -239,7 +247,7 @@ class BenchmarkServer:
         cfg = self.cfg
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.socket_buffer)
         conn.settimeout(RTT_SAMPLE_INTERVAL)
-        mark = min(cfg.recv_buffer, cfg.socket_buffer) // 2
+        mark = min(TCP_READ_SIZE, cfg.socket_buffer) // 2
         flow = _Flow(addr)
         error = None
         rtt_samples: list[float] = []
@@ -247,7 +255,7 @@ class BenchmarkServer:
         try:
             while True:
                 try:
-                    data = conn.recv(cfg.recv_buffer)
+                    data = conn.recv(TCP_READ_SIZE)
                 except TimeoutError:
                     data = None
                 now = clock.monotonic()
@@ -283,11 +291,10 @@ class BenchmarkServer:
     # -- UDP ---------------------------------------------------------------------
 
     def _udp_loop(self, sock: socket.socket) -> None:
-        cfg = self.cfg
         flows: dict[tuple, _Flow] = {}
         while True:
             try:
-                data, addr = sock.recvfrom(cfg.recv_buffer)
+                data, addr = sock.recvfrom(MAX_UDP_PAYLOAD)
                 if addr is None:    # no sender: stop() shut it down
                     break
                 now = clock.monotonic()

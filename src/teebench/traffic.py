@@ -91,7 +91,10 @@ def run_measurement(cfg: RunConfig, env=None) -> TransferMetrics:
         step = "connect"
         if sock is not None:
             step = "socket buffer setup"
-            sock.close()
+            try:
+                sock.close()
+            except OSError:
+                pass
         env.free(cfg.chunk_size)
         return TransferMetrics(
             transmit_calls=0, bytes_transferred=0, time_in_transmit=0.0,

@@ -1,5 +1,6 @@
 import importlib
 import os
+import socket
 import sys
 import tempfile
 from pathlib import Path
@@ -99,6 +100,33 @@ def udp_server(monkeypatch):
     cfg = ServerConfig(bind="127.0.0.1", port=0, protocol=Protocol.UDP)
     with BenchmarkServer(cfg) as server:
         yield server
+
+
+UNRESOLVABLE = "no-such-host.invalid"  # never resolves (RFC 6761)
+
+
+@pytest.fixture
+def unresolvable(monkeypatch):
+    """``UNRESOLVABLE``, failing as the resolver fails, with no query made:
+    ``socket.getaddrinfo`` (which ``create_connection`` calls) and a
+    socket's ``connect`` (which resolves in C) raise ``gaierror`` for it."""
+    failure = socket.gaierror(socket.EAI_AGAIN,
+                              "Temporary failure in name resolution")
+    getaddrinfo, connect = socket.getaddrinfo, socket.socket.connect
+
+    def fake_getaddrinfo(host, *args, **kwargs):
+        if host == UNRESOLVABLE:
+            raise failure
+        return getaddrinfo(host, *args, **kwargs)
+
+    def fake_connect(self, address):
+        if address[0] == UNRESOLVABLE:
+            raise failure
+        return connect(self, address)
+
+    monkeypatch.setattr(socket, "getaddrinfo", fake_getaddrinfo)
+    monkeypatch.setattr(socket.socket, "connect", fake_connect)
+    return UNRESOLVABLE
 
 
 @pytest.fixture(params=TRANSPORTS)

@@ -1777,6 +1777,51 @@ class TestSupplicantIoctl:
         ctx.finalize()
 
 
+class TestUnresolvableHost:
+    """A host that does not resolve fails as EHOSTUNREACH. The resolver's
+    own codes are negative, so negated they read as a handle (an open)
+    or as success (SET_PEER)."""
+
+    @pytest.mark.parametrize("protocol", [Protocol.TCP, Protocol.UDP])
+    def test_sock_open_is_ehostunreach_and_adds_no_handle(self, unresolvable,
+                                                          protocol):
+        from teebench.boundary.protocol import pack_sock_open_body
+
+        supplicant = Supplicant()
+        status = _relay_args(supplicant, Command.SOCK_OPEN, 0,
+                             pack_sock_open_body(protocol, unresolvable, 9))
+        assert status == -errno.EHOSTUNREACH
+        assert list(supplicant._sockets) == [DISCARD_HANDLE]
+        supplicant.release()
+
+    def test_set_peer_is_ehostunreach_and_the_last_errno(self, unresolvable,
+                                                         udp_server):
+        from teebench.boundary.protocol import pack_sock_open_body
+
+        supplicant = Supplicant()
+        handle = _relay_args(
+            supplicant, Command.SOCK_OPEN, 0,
+            pack_sock_open_body(Protocol.UDP, "127.0.0.1", udp_server.port))
+        status = _relay_args(
+            supplicant, Command.SOCK_IOCTL, handle,
+            pack_ioctl_body(IoctlCode.SET_PEER, (unresolvable, 9)))
+        assert status == -errno.EHOSTUNREACH
+        assert supplicant.service(
+            Message(Command.SOCK_ERROR, 0, 0, 0, handle), {}) == errno.EHOSTUNREACH
+        supplicant.release()
+
+    @pytest.mark.parametrize("execution, transport", [
+        (Execution.DIRECT, None), (Execution.BOUNDARY, "inline"),
+        (Execution.BOUNDARY, "process")])
+    def test_a_client_run_reports_the_connect_failure(self, unresolvable,
+                                                      execution, transport):
+        cfg = RunConfig(mode=Mode.FIXED_BYTES, total_bytes=KIB,
+                        host=unresolvable, port=9, execution=execution)
+        metrics = run_client(cfg, transport=transport).transfer
+        assert metrics.error == f"connect failed: errno {errno.EHOSTUNREACH}"
+        assert metrics.transmit_calls == 0
+
+
 class TestRelayErrorPrecedence:
     """Which status wins when one relayed call is wrong in more than one
     way, and what the handle's last errno is afterwards."""

@@ -127,7 +127,7 @@ class TestParse:
         assert exc.value.code == 2
         assert error in capsys.readouterr().err
 
-    def test_udp_server_caps_the_receive_buffer_at_one_datagram(self):
+    def test_udp_server_caps_its_chunk_at_one_datagram(self):
         inv = parse_args(["--server", "--udp"])
         assert inv.config.chunk_size == 65507
         inv = parse_args(["--server", "--udp", "--length", "8K"])
@@ -253,8 +253,8 @@ class TestEmitReport:
         assert len(lines) == 2 and lines[0].startswith("workload,")
 
 
-def free_port() -> int:
-    probe = socket.socket()
+def free_port(kind=socket.SOCK_STREAM) -> int:
+    probe = socket.socket(socket.AF_INET, kind)
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
@@ -384,6 +384,56 @@ class TestMainRoles:
         report = json.loads(next(tmp_path.glob("client-*.json")).read_text())
         assert report["energy"]["energy_joules"] == pytest.approx(
             4 * 0.5, rel=0.2)
+
+    def test_client_with_a_power_trace_not_covering_the_run_still_reports(
+            self, tcp_server, tmp_path, capsys):
+        trace = tmp_path / "meter.csv"
+        trace.write_text("0,4\n1,4\n")  # 1970: long before the run
+        rc = main(["--client", "127.0.0.1", "--port", str(tcp_server.port),
+                   "--bytes", "16K", "--out", str(tmp_path),
+                   "--power-trace", str(trace)])
+        assert rc == 0
+        report = json.loads(next(tmp_path.glob("client-*.json")).read_text())
+        assert "outside trace span" in report["energy"]["error"]
+        assert "energy integration failed: window" in capsys.readouterr().err
+
+    def test_an_out_that_is_a_file_is_exit_1_with_the_report_on_stdout(
+            self, tcp_server, tmp_path, capsys):
+        blocker = tmp_path / "report"
+        blocker.write_text("in the way")
+        rc = main(["--client", "127.0.0.1", "--port", str(tcp_server.port),
+                   "--bytes", "16K", "--out", str(blocker)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        stdout = captured.out
+        report = json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
+        assert report["transfer_metrics"]["bytes_transferred"] == 16 * 1024
+        assert f"teebench: cannot write report under {blocker}" in captured.err
+        assert blocker.read_text() == "in the way"
+
+    def test_udp_server_reads_datagrams_longer_than_its_length_whole(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr("teebench.server.UDP_IDLE_TIMEOUT", 0.3)
+        port = free_port(socket.SOCK_DGRAM)
+        out = io.StringIO()
+        result = {}
+        server = threading.Thread(target=lambda: result.update(rc=main(
+            ["--server", "--udp", "--length", "1K", "--port", str(port),
+             "--out", str(tmp_path)], stream=out, flow_limit=1)))
+        server.start()
+        deadline = time.monotonic() + 10
+        while "listening on port" not in out.getvalue():
+            assert time.monotonic() < deadline and server.is_alive()
+            time.sleep(0.01)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for _ in range(3):
+                sock.sendto(b"d" * 4096, ("127.0.0.1", port))
+        server.join(timeout=10)
+        assert result == {"rc": 0}
+        report = json.loads(next(tmp_path.glob("server-*.json")).read_text())
+        [flow] = report["flows"]
+        assert flow["bytes_received"] == 3 * 4096
+        assert flow["receive_calls"] == 3
 
     def test_server_role_with_flow_limit(self, tmp_path):
         port = free_port()

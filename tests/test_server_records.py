@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from teebench.server import BenchmarkServer, ServerConfig
+from teebench.server import TCP_READ_SIZE, BenchmarkServer, ServerConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 KIB = 1024
@@ -95,8 +95,7 @@ def test_tcp_receive_wakeups_are_coalesced(tcp_server):
     payload = random.Random(1).randbytes(1024 * KIB)
     send_in_chunks(tcp_server.port, payload)
     record = tcp_server.wait_for_records(1)[0]
-    cfg = tcp_server.cfg
-    mark = min(cfg.recv_buffer, cfg.socket_buffer) // 2
+    mark = min(TCP_READ_SIZE, tcp_server.cfg.socket_buffer) // 2
     assert record.bytes_received == len(payload)
     assert record.payload_sha256 == hashlib.sha256(payload).hexdigest()
     assert record.receive_calls <= len(payload) // mark + 4

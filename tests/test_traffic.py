@@ -213,6 +213,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("fail_at, error", [
         ("connect", "connect failed: errno 111"),
         ("ioctl", "socket buffer setup failed: errno 22"),
+        ("ioctl and close", "socket buffer setup failed: errno 22"),
     ])
     def test_setup_failures_share_one_exit(self, fail_at, error):
         class Sock:
@@ -223,6 +224,8 @@ class TestFailureModes:
 
             def close(self):
                 self.closed = True
+                if fail_at == "ioctl and close":
+                    raise OSError(9, "bad close")
 
         class Env(DirectEnv):
             held = 0
@@ -245,7 +248,7 @@ class TestFailureModes:
         assert metrics.error == error
         assert metrics.transmit_calls == 0 and metrics.bytes_transferred == 0
         assert env.held == 0
-        assert env.sock.closed is (fail_at == "ioctl")
+        assert env.sock.closed is (fail_at != "connect")
 
     def test_mid_run_reset_is_partial_not_fatal(self):
         listener = socket.socket()
