@@ -17,18 +17,23 @@ crossing hands the core over as a TrustZone SMC does, and the writer's
 post wakes no sleeper; unpinned, the peer runs on another core while the
 reader yields. The trusted process answers every request alike, and only
 the normal world ends it: closing the session kills and reaps it.
-Neither world waits with a timeout: one watchdog thread per process
-waits on a pidfd of each live child, or of a trusted process's parent,
-and wakes the waiter of one that died. So a dead child reads as a
-``BoundaryError`` and an orphan exits. The "inline" channel
+A sleeping reader is the one place that checks its peer lives: it
+sleeps in rounds of ``_LIVENESS_PERIOD`` and after each asks its port
+whether the writer lives, the normal world whether the child has exited,
+the trusted world whether its parent is still its parent. So a dead
+child reads as a ``BoundaryError`` and an orphan exits, each within
+about one period rather than at once, and a frame posted just before its
+writer died is still read. No thread watches the peer: a trusted
+process runs one thread, and opening a session starts none in the
+normal world. The "inline" channel
 (``transport="inline"``) calls the same ``TrustedRuntime.dispatch`` in
 the calling process; the tests and the benchmark's inline probes use it.
 
 This is the one module that forks, so it alone decides what a forked
 child lets go of: a weak registry holds everything the normal world
 keeps for sessions (each allocated region, each session's scratch
-region and supplicant, each channel's slot page, semaphores and pidfd),
-and an at-fork hook calls ``release()`` on every entry in the child. The
+region and supplicant, each channel's slot page and semaphores), and an
+at-fork hook calls ``release()`` on every entry in the child. The
 child thus holds only what its OPEN names, which it maps again through
 ``/proc/<ppid>/fd``; no later child keeps an earlier session's relayed
 socket or channel.
@@ -66,12 +71,10 @@ totals and every live session on read.
 
 from __future__ import annotations
 
-import _thread
 import dataclasses
 import itertools
 import mmap
 import os
-import select
 import signal
 import struct
 import sys
@@ -117,11 +120,7 @@ _held = weakref.WeakSet()
 
 
 def _after_fork_in_child() -> None:
-    """In a forked child, let go of everything the normal world holds and
-    start a watchdog of its own."""
-    global _watchdog
-    _watchdog._epoll.close()  # unregistering in the copy would hit the parent's
-    _watchdog = _Watchdog()
+    """In a forked child, let go of everything the normal world holds."""
     for item in list(_held):
         try:
             item.release()
@@ -353,6 +352,7 @@ class Session:
             ctx._stats._add(self._stats)
         if self._channel is not None:
             self._channel.close()
+            self._channel = None  # it refers back to this session
         self._supplicant.release()
         self._scratch.release()
 
@@ -387,6 +387,21 @@ _yield = os.sched_yield
 # when nothing else wants the core) outlast a relayed call's round trip,
 # where 4 did not, and cap what a reader burns while its peer is idle.
 _YIELDS = 64
+# Seconds a reader past its yields sleeps before it asks whether the writer
+# still lives: a dead peer reads as None within about this, and an idle
+# reader wakes this often. Neither relay reaches the sleep when pinned.
+_LIVENESS_PERIOD = 0.05
+
+
+def _child_lives(pid: int):
+    """Whether child ``pid`` has not exited; it is left unreaped for
+    ``close()``, and an already reaped one counts as gone."""
+    def alive() -> bool:
+        try:
+            return os.waitid(os.P_PID, pid, _EXITED) is None
+        except ChildProcessError:
+            return False
+    return alive
 
 
 class _Port:
@@ -395,27 +410,19 @@ class _Port:
     posts once the slot holds a frame.
 
     Its reader takes a posted frame, else yields, else sleeps on the
-    semaphore without a timeout (``read_message``); the watchdog hangs the
-    port up when the process at the other end dies.
+    semaphore in rounds of ``_LIVENESS_PERIOD``, calling ``alive()`` after
+    each to ask whether the writer still lives (``read_message``).
     """
 
-    __slots__ = ("page", "at", "post", "wait", "gone")
+    __slots__ = ("page", "at", "post", "wait", "alive")
 
-    def __init__(self, page: mmap.mmap, at: int):
+    def __init__(self, page: mmap.mmap, at: int, alive):
         # the name is unlinked before the constructor returns
         sem = SemLock(_SEMAPHORE, 0, 1,
                       f"/teebench-{os.getpid()}-{next(_semaphore_ids)}", True)
         self.page, self.at = page, at
         self.post, self.wait = sem.release, sem.acquire
-        self.gone = False
-
-    def hang_up(self) -> None:
-        """Make every later read return None, waking a blocked one."""
-        self.gone = True
-        try:
-            self.post()
-        except ValueError:  # a frame is posted already; the reader wakes to it
-            pass
+        self.alive = alive
 
 
 # The process channel's framing. Both worlds look these names up in this
@@ -432,7 +439,7 @@ def write_message(port: _Port, command: int, region_id: int = 0,
 
 def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
     """Take the port's frame and return it as the bare header tuple,
-    fields in ``Message``'s order; None once the peer is gone.
+    fields in ``Message``'s order; None once its writer is dead.
 
     A frame posted already is taken at once. Otherwise the reader yields
     its core and tries again, up to ``_YIELDS`` times, and only then
@@ -440,69 +447,25 @@ def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
     ``futex_wake`` call. The wait counts down a small int and builds no
     object: the reader runs it just after being switched back in, with
     cold caches, where an allocation costs several times its warm price.
+    The sleep lasts ``_LIVENESS_PERIOD`` at a time, and after each one the
+    reader asks the port whether its writer lives. So a dead writer is
+    noticed within about a period, not at once, and a frame it posted
+    just before it died is still read; the next read, and every later
+    one, returns None.
     """
     take = port.wait
     left = _YIELDS
     while not take(False):
         if not left:
-            take()
+            while not take(True, _LIVENESS_PERIOD):
+                if not port.alive():
+                    if take(False):  # posted just before the writer died
+                        break
+                    return None
             break
         _yield()
         left -= 1
-    if port.gone:
-        port.hang_up()  # the next read finds a post too
-        return None
     return _unpack_from(port.page, port.at)
-
-
-class _Watchdog:
-    """Hangs up the port of a peer process that dies, so its reader gets
-    None: a child of the normal world, or the parent of a trusted process.
-
-    One thread per process, started with the first watch, waits in
-    ``epoll`` on a pidfd of every watched peer. The epoll fd is made with
-    the watchdog, at import, so no session leaves one behind; a forked
-    child gets a fresh watchdog, as the thread does not follow it there.
-    """
-
-    def __init__(self):
-        self._epoll = select.epoll()
-        self._ports: dict[int, _Port] = {}  # pidfd -> its peer's frames
-        self._start = threading.Lock()
-        self._ident = None  # of the thread, once started
-
-    def watch(self, pid: int, port: _Port) -> int:
-        """Hang ``port`` up once process ``pid`` exits and return the pidfd
-        that ``forget`` takes; a ProcessLookupError if ``pid`` is reaped."""
-        with self._start:  # a bare thread: Thread.start() waits for it to run
-            if self._ident is None:
-                self._ident = _thread.start_new_thread(self._run, ())
-        pidfd = os.pidfd_open(pid)
-        self._ports[pidfd] = port
-        try:
-            self._epoll.register(pidfd, select.EPOLLIN | select.EPOLLONESHOT)
-        except BaseException:  # the next watch of this fd number replaces the entry
-            os.close(pidfd)
-            raise
-        return pidfd
-
-    def forget(self, pidfd: int) -> None:
-        del self._ports[pidfd]
-        self._epoll.unregister(pidfd)
-
-    def _run(self) -> None:
-        while True:
-            for pidfd, _ in self._epoll.poll():
-                port = self._ports.get(pidfd)
-                try:  # the fd may have been closed, or reused, since the poll
-                    exited = os.waitid(os.P_PIDFD, pidfd, _EXITED) is not None
-                except OSError as exc:  # ECHILD: a parent's pidfd, never reused
-                    exited = isinstance(exc, ChildProcessError)
-                if port is not None and exited:
-                    port.hang_up()
-
-
-_watchdog = _Watchdog()
 
 
 def _trusted_process_main(inbox: _Port, outbox: _Port, scratch) -> None:
@@ -525,9 +488,11 @@ class _ProcessChannel:
 
     Both ports' slots share one anonymous shared page, made before the
     fork with the semaphores. The channel is registered after the fork,
-    so only later children let go of it. Each side watches the other, and
-    a child whose parent died before its watch exits. ``close`` stops
-    watching the child, then kills and reaps it. The child inherits the
+    so only later children let go of it. Each world's reads ask whether
+    the other lives: the child's whether the parent is still its parent,
+    the parent's whether the child has exited, so neither world starts a
+    thread for it. A child whose parent is gone before its first line
+    exits at once. ``close`` kills and reaps the child. The child inherits the
     scratch descriptor and maps the scratch before its first request.
     """
 
@@ -535,30 +500,23 @@ class _ProcessChannel:
         self._session = session
         scratch = session._scratch.descriptor
         self._page = mmap.mmap(-1, 2 * HEADER_SIZE)
-        self._to_child = _Port(self._page, 0)
-        self._to_parent = _Port(self._page, HEADER_SIZE)
         parent = os.getpid()
+        # each port's predicate asks after the world that writes to it
+        self._to_child = _Port(self._page, 0, lambda: os.getppid() == parent)
+        self._to_parent = _Port(self._page, HEADER_SIZE, None)  # set after the fork
         _flush_stdio()  # else the child would write the parent's buffered output again
         self._pid = os.fork()
         if self._pid == 0:  # the child; it never returns from here
             try:
-                _watchdog.watch(parent, self._to_child)
-                if os.getppid() == parent:  # else it died before the watch
+                if os.getppid() == parent:  # else it was orphaned already
                     _trusted_process_main(self._to_child, self._to_parent, scratch)
-                os._exit(0)
-            except ProcessLookupError:  # the parent was reaped before the watch
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
                 _flush_stdio()
             finally:
                 os._exit(1)
-        try:
-            self._pidfd = _watchdog.watch(self._pid, self._to_parent)
-        except BaseException:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            raise
+        self._to_parent.alive = _child_lives(self._pid)
         _held.add(self)
 
     def exchange(self, command: int, length: int) -> tuple[int, int]:
@@ -590,16 +548,11 @@ class _ProcessChannel:
         raise BoundaryError("trusted process terminated unexpectedly")
 
     def release(self) -> None:
-        """Close the pidfd, unmap the slot page and drop the semaphores;
-        idempotent, so a stale fd number, since reused, is never closed."""
-        if self._pidfd >= 0:
-            os.close(self._pidfd)
-            self._pidfd = -1
+        """Unmap the slot page and drop the semaphores; idempotent."""
         self._page.close()
         self._to_child = self._to_parent = None
 
     def close(self) -> None:
-        _watchdog.forget(self._pidfd)  # before the kill, so it wakes nothing
         self.release()
         os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)

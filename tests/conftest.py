@@ -40,9 +40,9 @@ SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
 
 def _shm_segments() -> set[str]:
-    """Named segments in SHM_DIR plus this process's fds (a region's own
+    """Semaphore names in SHM_DIR plus this process's fds (a region's own
     and any mapping's) on teebench memfd memory, as ``fd <n>: <link>``."""
-    segments = {n for n in os.listdir(SHM_DIR) if n.startswith("teebench-shm-")}
+    segments = {n for n in os.listdir(SHM_DIR) if n.startswith("sem.teebench-")}
     for fd in os.listdir("/proc/self/fd"):
         try:
             link = os.readlink(f"/proc/self/fd/{fd}")

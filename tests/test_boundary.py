@@ -1,5 +1,6 @@
 import ctypes
 import errno
+import gc
 import mmap
 import os
 import random
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 import zlib
 from array import array
 from types import SimpleNamespace
@@ -373,6 +375,21 @@ class TestContextLifecycle:
     def test_an_unknown_transport_is_refused_by_name(self):
         with pytest.raises(ValueError, match="'bogus'"):
             initialize_context(transport="bogus")
+
+    def test_a_closed_session_is_freed_without_a_cycle_collection(self, transport):
+        ctx = initialize_context(transport=transport)
+        held = len(context._held)
+        gc.disable()
+        try:
+            session = ctx.open_session("probe")
+            session.close()
+            closed = weakref.ref(session)
+            del session
+            assert closed() is None
+            assert len(context._held) == held
+        finally:
+            gc.enable()
+        ctx.finalize()
 
     def test_finalize_twice_errors(self):
         ctx = initialize_context(transport="inline")
@@ -1305,12 +1322,6 @@ time.sleep(60)
 """
 
 
-def _shm_entries() -> set[str]:
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith("teebench-")}
-
-
 def _gone_or_zombie(pid: int) -> bool:
     try:
         with open(f"/proc/{pid}/stat") as f:
@@ -1318,6 +1329,14 @@ def _gone_or_zombie(pid: int) -> bool:
     except FileNotFoundError:
         return True
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _cpu_seconds(pid: int) -> float:
+    """User plus system CPU time process ``pid`` has used."""
+    with open(f"/proc/{pid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    # stat fields 14 and 15; the split starts at field 3, the state
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def _memfd_holds(pid: int, inode: int) -> tuple[int, int]:
@@ -1428,7 +1447,7 @@ class TestTrustedChild:
             first.invoke(1, values=(listener.getsockname()[1],))
             listener.accept()[0].close()
             relayed = first._supplicant._sockets[1].raw
-            held = {_file_id(fd) for fd in (relayed.fileno(), first._channel._pidfd)}
+            held = {_file_id(relayed.fileno())}
             page = _mapping_inode(first._channel._page)
             second = ctx.open_session("probe")
             try:
@@ -1487,7 +1506,7 @@ class TestTrustedChild:
 
 class TestNormalWorldDeath:
     def test_sigterm_leaves_no_trusted_child_and_no_segment(self):
-        before = _shm_entries()
+        before = _sem_names()
         src = os.path.dirname(os.path.dirname(teebench.__file__))
         pythonpath = os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -1503,7 +1522,7 @@ class TestNormalWorldDeath:
             while not _gone_or_zombie(child) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert _gone_or_zombie(child), "trusted child outlived its normal world"
-            assert _shm_entries() - before == set()
+            assert _sem_names() - before == set()
         finally:
             if child is not None:
                 try:
@@ -1568,24 +1587,16 @@ class TestTrustedProcessOrphaned:
         assert _gone_or_zombie(grandchild), "trusted process outlived its parent"
         assert "relay closed while waiting for a reply" in capfd.readouterr().err
 
-    @pytest.mark.parametrize("cause", ["pidfd_open", "getppid"])
+    @pytest.mark.parametrize("cause", ["getppid"])
     def test_a_child_whose_parent_is_gone_before_the_watch_exits_quietly(
             self, monkeypatch, capfd, cause):
-        # in the child only: the parent is already reaped, or reparented away
-        me, pidfd_open, getppid = os.getpid(), os.pidfd_open, os.getppid
-
-        def gone_pidfd_open(pid, *args):
-            if os.getpid() != me:
-                raise ProcessLookupError(errno.ESRCH, "No such process")
-            return pidfd_open(pid, *args)
+        # in the child only: reparented away before its first line
+        me, getppid = os.getpid(), os.getppid
 
         def reparented_getppid():
             return getppid() if os.getpid() == me else 1
 
-        if cause == "pidfd_open":
-            monkeypatch.setattr(os, "pidfd_open", gone_pidfd_open)
-        else:
-            monkeypatch.setattr(os, "getppid", reparented_getppid)
+        monkeypatch.setattr(os, "getppid", reparented_getppid)
         ctx = initialize_context(transport="process")
         with pytest.raises(BoundaryError, match="terminated unexpectedly"):
             ctx.open_session("probe")
@@ -1594,32 +1605,95 @@ class TestTrustedProcessOrphaned:
         # the autouse fixture checks that the child was reaped
 
 
-class TestWatchdogRegistration:
-    def test_a_failed_registration_kills_and_reaps_the_child(self, monkeypatch):
-        me, watch = os.getpid(), context._Watchdog.watch
+class TestPeerLiveness:
+    """Only a reader that sleeps checks that its peer lives: no thread in
+    either world watches it, and a pinned relay never sleeps."""
 
-        def failing_watch(self, *args):
-            if os.getpid() == me:
-                raise RuntimeError("can't start new thread")
-            return watch(self, *args)
+    def test_pinned_relayed_sends_make_no_timed_wait_in_either_world(
+            self, monkeypatch):
+        waits = mmap.mmap(-1, 16)  # shared with the child: its count and ours
+        counts = memoryview(waits).cast("q")
+        make_port = context._Port
 
-        monkeypatch.setattr(context._Watchdog, "watch", failing_watch)
+        def counting_port(page, at, alive):
+            port = make_port(page, at, alive)
+            take, world = port.wait, 0 if at == HEADER_SIZE else 1  # its reader
+
+            def wait(block=True, timeout=None):
+                if block:
+                    counts[world] += 1
+                return take(block, timeout)
+
+            port.wait = wait
+            return port
+
+        monkeypatch.setattr(context, "_Port", counting_port)
+        home = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(home)})  # the trusted child inherits it
+        try:
+            ctx = initialize_context(transport="process")
+            session = ctx.open_session("probe")
+            counts[0] = counts[1] = 0
+            result = session.invoke(ProbeCommand.SEND_DISCARD, values=(1000, KIB))
+            during = counts.tolist()
+            session.close()
+            ctx.finalize()
+        finally:
+            os.sched_setaffinity(0, home)
+            counts.release()
+            waits.close()
+        assert result.values == (1000 * KIB,)
+        assert during == [0, 0]  # normal world, trusted world
+
+    def test_an_idle_trusted_child_runs_one_thread_and_barely_wakes(self):
         ctx = initialize_context(transport="process")
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            ctx.open_session("probe")
-        ctx.finalize()
-        # the autouse fixture checks that no child is left, live or unreaped
+        session = ctx.open_session("probe")
+        pid = session._channel._pid
+        try:
+            time.sleep(0.1)  # past its yields, into its periodic sleep
+            before = _cpu_seconds(pid)
+            time.sleep(0.5)
+            used = _cpu_seconds(pid) - before
+            tasks = os.listdir(f"/proc/{pid}/task")
+        finally:
+            session.close()
+            ctx.finalize()
+        assert len(tasks) == 1
+        assert used < 0.02
+
+    def test_opening_a_process_session_starts_no_thread(self):
+        # in a forked helper, which starts with one thread
+        r, w = os.pipe()
+        helper = os.fork()
+        if helper == 0:
+            try:
+                os.close(r)
+                ctx = initialize_context(transport="process")
+                session = ctx.open_session("probe")
+                os.write(w, b"%d" % len(os.listdir("/proc/self/task")))
+                session.close()
+                ctx.finalize()
+            finally:
+                os._exit(0)
+        os.close(w)
+        try:
+            tasks = os.read(r, 64)
+        finally:
+            os.close(r)
+            os.waitpid(helper, 0)
+        assert tasks == b"1"
 
 
 class TestPortHandoff:
     """A read takes a posted frame at once; else it yields its core up to
     ``_YIELDS`` times, taking a frame posted meanwhile, and only then
-    sleeps on the semaphore."""
+    sleeps on the semaphore, asking after each period whether the writer
+    lives."""
 
     @pytest.fixture
     def port(self):
         page = mmap.mmap(-1, HEADER_SIZE)
-        yield context._Port(page, 0)
+        yield context._Port(page, 0, lambda: True)
         page.close()
 
     @pytest.fixture
@@ -1637,10 +1711,10 @@ class TestPortHandoff:
                                                                 yields):
         asleep, take = threading.Event(), port.wait
 
-        def wait(block=True):
+        def wait(block=True, timeout=None):
             if block:
                 asleep.set()
-            return take(block)
+            return take(block, timeout)
 
         port.wait = wait
         writer = threading.Thread(target=lambda: (
@@ -1652,24 +1726,44 @@ class TestPortHandoff:
         assert asleep.is_set()
         assert len(yields) == context._YIELDS
 
-    def test_a_hang_up_during_the_yields_ends_this_read_and_the_next(
-            self, port, monkeypatch):
-        yields = []
+    def test_a_writer_found_dead_ends_this_read_and_the_next(self, port,
+                                                             yields):
+        asked = []
+        port.alive = lambda: asked.append(None)  # None: the writer is dead
+        assert context.read_message(port) is None
+        assert context.read_message(port) is None
+        assert len(asked) == 2  # once per read, after its first period
+        assert len(yields) == 2 * context._YIELDS
 
-        def yield_then_hang_up():
-            yields.append(None)
-            if len(yields) == 3:
-                port.hang_up()
+    def test_a_frame_posted_as_its_writer_dies_is_read_and_the_next_read_is_none(
+            self, port, yields):
+        posted = []
 
-        monkeypatch.setattr(context, "_yield", yield_then_hang_up)
-        backstop = threading.Timer(10, port.hang_up)  # a read that never yields
-        backstop.start()
+        def post_then_die():  # the frame lands after the read's sleep timed out
+            if not posted:
+                posted.append(None)
+                context.write_message(port, RETURN, 0, 0, 5, 6)
+            return False
+
+        port.alive = post_then_die
+        assert context.read_message(port) == (RETURN, 0, 0, 5, 6)
+        assert context.read_message(port) is None
+
+    def test_a_frame_a_dead_child_posted_is_read_and_the_next_read_is_none(
+            self, port):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                context.write_message(port, RETURN, 0, 0, 7, 8)
+            finally:
+                os._exit(0)
         try:
-            assert context.read_message(port) is None
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, unreaped
+            port.alive = context._child_lives(pid)
+            assert context.read_message(port) == (RETURN, 0, 0, 7, 8)
             assert context.read_message(port) is None
         finally:
-            backstop.cancel()
-        assert len(yields) == 3  # the second read found the post at once
+            os.waitpid(pid, 0)
 
 
 def _relay_args(supplicant, command, handle, args):

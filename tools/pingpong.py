@@ -73,7 +73,8 @@ def pipe_rtt_us(rounds: int) -> float:
 
 def slot_rtt_us(rounds: int) -> float:
     page = mmap.mmap(-1, 2 * HEADER_SIZE)
-    ping, pong = context._Port(page, 0), context._Port(page, HEADER_SIZE)
+    ping = context._Port(page, 0, lambda: True)  # both ends outlive the legs
+    pong = context._Port(page, HEADER_SIZE, lambda: True)
     write, read = context.write_message, context.read_message
     try:
         return _timed(rounds, lambda: write(ping, RETURN), lambda: read(pong),
