@@ -7,23 +7,27 @@ Each direction of the channel is a 32-byte header slot in one anonymous
 shared page plus a futex-backed semaphore that the writer posts. The
 semaphore is the C type ``_multiprocessing.SemLock``; ``src/`` does not
 use the ``multiprocessing`` package, and the semaphore's ``/dev/shm``
-name is unlinked inside its constructor. A reader takes a posted frame
-at once; else it yields its core up to a fixed number of times, taking a
+name is unlinked inside its constructor. A writer that waits for the
+answer to its frame yields its core at the post, between
+``write_message`` and ``read_message``. A reader takes a posted frame at
+once; else it yields its core up to a fixed number of times, taking a
 frame posted meanwhile, and only then sleeps on the semaphore. That
 wait builds no object: each world resumes cold after a switch, so an
 allocation there costs several times its warm price. Pinned to
-one core, as the bench pins both worlds, each yield runs the peer, so a
-crossing hands the core over as a TrustZone SMC does, and the writer's
-post wakes no sleeper; unpinned, the peer runs on another core while the
-reader yields. The trusted process answers every request alike, and only
-the normal world ends it: closing the session kills and reaps it.
-A sleeping reader is the one place that checks its peer lives: it
-sleeps in rounds of ``_LIVENESS_PERIOD`` and after each asks its port
-whether the writer lives, the normal world whether the child has exited,
-the trusted world whether its parent is still its parent. So a dead
-child reads as a ``BoundaryError`` and an orphan exits, each within
-about one period rather than at once, and a frame posted just before its
-writer died is still read. No thread watches the peer: a trusted
+one core, as the bench pins both worlds, the yield at the post runs the
+peer, so a crossing hands the core over as a TrustZone SMC does, the
+read takes the answer on its first try, and the post wakes no sleeper;
+unpinned, the peer runs on another core while the reader yields. The
+trusted process answers every request alike, and only the normal world
+ends it: closing the session kills and reaps it.
+A reader past its yields is the one place that checks its peer lives:
+it asks its port whether the writer lives before it first sleeps and
+after each round of ``_LIVENESS_PERIOD``, the normal world whether the
+child has exited, the trusted world whether its parent is still its
+parent. So a dead child reads as a ``BoundaryError`` and an orphan
+exits, at once if the peer is gone when the yields are spent, else
+within about one period, and a frame posted just before its writer died
+is still read. No thread watches the peer: a trusted
 process runs one thread, and opening a session starts none in the
 normal world. The "inline" channel
 (``transport="inline"``) calls the same ``TrustedRuntime.dispatch`` in
@@ -43,9 +47,10 @@ injection of ``switch_cost`` wall time: an open/invoke/close costs two,
 charged by ``Session._cross``, and so does a relayed socket call. The
 inline channel serves a relayed call through ``Session._serve``, which
 charges it through ``_cross``. The process channel serves it in
-``exchange``'s own loop, which charges both crossings itself: the one
-deliberate copy of ``_cross``, kept because a Python call per crossing
-costs about 1% of a 1 KiB relayed send. A message is a bare header;
+``exchange``'s own loop, which counts both crossings in one statement
+and injects the cost of each: the one deliberate copy of ``_cross``,
+kept because a Python call per crossing costs about 1% of a 1 KiB
+relayed send. A message is a bare header;
 ``Session._call`` stages the request in the session scratch region at
 window offset 0 before it crosses. An OPEN or INVOKE stages one fixed
 operation (``protocol``): a TA command, a parameter-types word and four
@@ -387,9 +392,10 @@ _yield = os.sched_yield
 # when nothing else wants the core) outlast a relayed call's round trip,
 # where 4 did not, and cap what a reader burns while its peer is idle.
 _YIELDS = 64
-# Seconds a reader past its yields sleeps before it asks whether the writer
-# still lives: a dead peer reads as None within about this, and an idle
-# reader wakes this often. Neither relay reaches the sleep when pinned.
+# Seconds a reader past its yields sleeps before it asks again whether the
+# writer still lives: a peer that dies while its reader sleeps reads as None
+# within about this, and an idle reader wakes this often. Neither relay
+# reaches the sleep when pinned.
 _LIVENESS_PERIOD = 0.05
 
 
@@ -410,8 +416,9 @@ class _Port:
     posts once the slot holds a frame.
 
     Its reader takes a posted frame, else yields, else sleeps on the
-    semaphore in rounds of ``_LIVENESS_PERIOD``, calling ``alive()`` after
-    each to ask whether the writer still lives (``read_message``).
+    semaphore in rounds of ``_LIVENESS_PERIOD``, calling ``alive()``
+    before the first and after each to ask whether the writer still lives
+    (``read_message``).
     """
 
     __slots__ = ("page", "at", "post", "wait", "alive")
@@ -447,22 +454,29 @@ def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
     ``futex_wake`` call. The wait counts down a small int and builds no
     object: the reader runs it just after being switched back in, with
     cold caches, where an allocation costs several times its warm price.
-    The sleep lasts ``_LIVENESS_PERIOD`` at a time, and after each one the
-    reader asks the port whether its writer lives. So a dead writer is
-    noticed within about a period, not at once, and a frame it posted
-    just before it died is still read; the next read, and every later
-    one, returns None.
+    The sleep lasts ``_LIVENESS_PERIOD`` at a time; before the first and
+    after each one the reader asks the port whether its writer lives. So
+    a writer dead when the yields are spent is noticed at once, one that
+    dies later within about a period, and a frame it posted just before
+    it died is still read; the next read, and every later one, returns
+    None at once after its yields.
+
+    A writer that waits for an answer yields between its
+    ``write_message`` and this read (the hand-over at the post), so
+    pinned, the answer is posted before the first take. The yield is
+    not made here: a read whose frame is posted already takes it
+    without one.
     """
     take = port.wait
     left = _YIELDS
     while not take(False):
         if not left:
-            while not take(True, _LIVENESS_PERIOD):
-                if not port.alive():
-                    if take(False):  # posted just before the writer died
-                        break
-                    return None
-            break
+            while port.alive():
+                if take(True, _LIVENESS_PERIOD):
+                    return _unpack_from(port.page, port.at)
+            if take(False):  # posted just before the writer died
+                break
+            return None
         _yield()
         left -= 1
     return _unpack_from(port.page, port.at)
@@ -471,6 +485,7 @@ def read_message(port: _Port) -> tuple[int, int, int, int, int] | None:
 def _trusted_process_main(inbox: _Port, outbox: _Port, scratch) -> None:
     def rpc(command, region_id, offset, length, handle) -> int:
         write_message(outbox, command, region_id, offset, length, handle)
+        _yield()  # hand the core over at the post
         reply = read_message(inbox)
         if reply is None:
             raise BoundaryError("relay closed while waiting for a reply")
@@ -481,6 +496,7 @@ def _trusted_process_main(inbox: _Port, outbox: _Port, scratch) -> None:
         status, length = runtime.dispatch(msg[0], msg[3])
         _flush_stdio()  # the parent may kill this process once it has this RETURN
         write_message(outbox, RETURN, 0, 0, length, status)
+        _yield()
 
 
 class _ProcessChannel:
@@ -521,7 +537,10 @@ class _ProcessChannel:
 
     def exchange(self, command: int, length: int) -> tuple[int, int]:
         """Send one request, serving the trusted side's relayed calls until
-        RETURN, each as ``Session._serve`` would, without its calls."""
+        RETURN, each as ``Session._serve`` would, without its calls: both
+        crossings counted in one statement, the cost injected for each.
+        After each post, the request and every relayed reply, it yields
+        its core before it reads, so pinned, the child runs at once."""
         to_child, to_parent = self._to_child, self._to_parent
         session = self._session
         stats, cost = session._stats, session._switch_cost
@@ -529,20 +548,21 @@ class _ProcessChannel:
         service = Supplicant.service  # per exchange, so a later patch is seen
         try:
             write_message(to_child, command, 0, 0, length)
+            _yield()
             while (msg := read_message(to_parent)) is not None:
                 if msg[0] == RETURN:
                     return msg[4], msg[3]  # status, reply length
-                stats.crossings += 1
                 if cost:
                     clock.inject_delay(cost)
                 status = service(supplicant, msg, regions)
+                stats.crossings += 2
                 stats.rpc_count += 1
                 if status > 0 and (msg[0] == SOCK_SEND or msg[0] == SOCK_RECV):
                     stats.bytes_copied += status
-                stats.crossings += 1
                 if cost:
                     clock.inject_delay(cost)
                 write_message(to_child, RETURN, 0, 0, 0, status)
+                _yield()
         except ValueError:  # a second post the child never took: it is gone
             pass
         raise BoundaryError("trusted process terminated unexpectedly")

@@ -34,14 +34,19 @@ from teebench.boundary import (
 )
 from teebench.boundary import context
 from teebench.boundary.protocol import (
+    CLOSE,
     HEADER_SIZE,
+    INVOKE,
+    OPEN,
     RETURN,
     Command,
     IoctlCode,
     Message,
+    pack_invoke_body,
     pack_ioctl_body,
+    pack_open_body,
 )
-from teebench.boundary.regions import SharedRegion
+from teebench.boundary.regions import SharedRegion, TrustedRegionView
 from teebench.boundary.supplicant import OsSocket, Supplicant
 from teebench.boundary.tas import ProbeCommand, TouchOp
 from teebench.boundary.trusted import SocketState, TeeSocket, TrustedRuntime
@@ -1052,9 +1057,10 @@ class _FakeScratch:
 
     window_length = 4
     descriptor = SimpleNamespace(region_id=7)
+    _window_offset = 0
 
-    def stage(self, data, n):
-        pass
+    def __init__(self):
+        self._map = bytearray(self.window_length)
 
 
 class TestTeeSocketRelayResults:
@@ -1075,6 +1081,37 @@ class TestTeeSocketRelayResults:
         sock, calls = self.socket_over(4, 1, 4)
         assert sock.send(b"x" * 10) == 5
         assert calls == [(Command.SOCK_SEND, 4), (Command.SOCK_SEND, 4)]
+
+    def test_a_send_stages_its_piece_at_the_window_start(self):
+        region = SharedRegion(64, SharedMode.PARTIAL, 8, 16)
+        view = TrustedRegionView(region.descriptor)
+        calls = []
+
+        def rpc(*call):
+            calls.append(call)
+            return 3
+
+        try:
+            sock = TeeSocket(SimpleNamespace(scratch=view, rpc=rpc), 3)
+            assert sock.send(b"abc") == 3
+            assert region.read(8, 3) == b"abc"
+            assert calls == [(Command.SOCK_SEND, region.region_id, 0, 3, 3)]
+        finally:
+            view.revoke()
+            region.release()
+
+    def test_a_send_after_the_scratch_is_revoked_faults_without_crossing(self):
+        region = SharedRegion(64, SharedMode.WHOLE)
+        view = TrustedRegionView(region.descriptor)
+        calls = []
+        sock = TeeSocket(SimpleNamespace(scratch=view, rpc=calls.append), 3)
+        view.revoke()
+        try:
+            with pytest.raises(RegionFault, match="no longer shared"):
+                sock.send(b"abc")
+        finally:
+            region.release()
+        assert calls == []
 
     def test_a_failed_relayed_close_raises_its_errno_and_closes(self):
         sock, calls = self.socket_over(-errno.EIO)
@@ -1170,6 +1207,27 @@ class TestFaultContainment:
         assert session.closed
         ctx.finalize()
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_dead_trusted_process_is_noticed_at_the_first_sleep(self):
+        # pinned, the parent's yields run the child until it has exited
+        home = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(home)})  # the trusted child inherits it
+        try:
+            ctx = initialize_context(transport="process")
+            session = ctx.open_session("test-exiter")
+            start = time.perf_counter()
+            with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+                session.invoke(1)
+            invoked = time.perf_counter()
+            with pytest.raises(BoundaryError, match="terminated unexpectedly"):
+                session.close()
+            closed = time.perf_counter()
+        finally:
+            os.sched_setaffinity(0, home)
+        ctx.finalize()
+        # each read asks whether the child lives before it first sleeps
+        assert invoked - start < context._LIVENESS_PERIOD / 5
+        assert closed - invoked < context._LIVENESS_PERIOD / 5
 
     def test_many_zero_copy_sends_leave_the_scratch_releasable(
             self, transport, tcp_server):
@@ -1764,6 +1822,95 @@ class TestPortHandoff:
             assert context.read_message(port) is None
         finally:
             os.waitpid(pid, 0)
+
+
+def _recording(monkeypatch, thread=None):
+    """Record ``context``'s ``write_message``, ``read_message`` and
+    ``_yield`` calls as "write", "read" and "yield", made by the thread
+    named ``thread`` or by any."""
+    events = []
+
+    def recorder(name, fn):
+        def call(*args):
+            if thread is None or threading.current_thread().name == thread:
+                events.append(name)
+            return fn(*args)
+        return call
+
+    for name, attr in (("write", "write_message"), ("read", "read_message"),
+                       ("yield", "_yield")):
+        monkeypatch.setattr(context, attr,
+                            recorder(name, getattr(context, attr)))
+    return events
+
+
+def _handed_over_at_each_post(events) -> bool:
+    """Whether each "write" is followed by one "yield" and then a "read"."""
+    posts = [i for i, event in enumerate(events) if event == "write"]
+    return all(events[i + 1:i + 3] == ["yield", "read"] for i in posts)
+
+
+class TestHandOverAtThePost:
+    """Each world that posts a frame and then waits for the answer yields
+    its core between the two, so pinned, its read finds the answer."""
+
+    def test_the_normal_world_yields_after_each_awaited_post(self,
+                                                             monkeypatch):
+        ctx = initialize_context(transport="process")
+        session = ctx.open_session("probe")
+        try:
+            events = _recording(monkeypatch)
+            sends = 5
+            result = session.invoke(ProbeCommand.SEND_DISCARD,
+                                    values=(sends, KIB))
+            monkeypatch.undo()
+        finally:
+            session.close()
+            ctx.finalize()
+        assert result.values == (sends * KIB,)
+        # the INVOKE request, then the reply to each relayed send
+        assert events.count("write") == sends + 1
+        assert _handed_over_at_each_post(events)
+
+    def test_the_trusted_world_yields_after_each_awaited_post(self,
+                                                              monkeypatch):
+        page = mmap.mmap(-1, 2 * HEADER_SIZE)
+        done = threading.Event()
+        inbox = context._Port(page, 0, lambda: not done.is_set())
+        outbox = context._Port(page, HEADER_SIZE, lambda: trusted.is_alive())
+        scratch = SharedRegion(64 * KIB, SharedMode.WHOLE)
+        write, read = context.write_message, context.read_message
+        events = _recording(monkeypatch, "trusted")
+        trusted = threading.Thread(target=context._trusted_process_main,
+                                   args=(inbox, outbox, scratch.descriptor),
+                                   name="trusted")
+
+        def call(command, body=b""):
+            """Post one request as the normal world does; answer each
+            relayed send in full; return the RETURN frame."""
+            scratch.window_write(0, body)
+            write(inbox, command, 0, 0, len(body))
+            while (msg := read(outbox))[0] != RETURN:
+                assert msg[0] == Command.SOCK_SEND
+                write(inbox, RETURN, 0, 0, 0, msg[3])
+            return msg
+
+        sends = 5
+        try:
+            trusted.start()
+            assert call(OPEN, pack_open_body("probe", []))[4] == TeeResult.SUCCESS
+            assert call(INVOKE, pack_invoke_body(
+                ProbeCommand.SEND_DISCARD, (), (sends, KIB)))[4] == TeeResult.SUCCESS
+            assert call(CLOSE)[4] == TeeResult.SUCCESS
+        finally:
+            done.set()
+            trusted.join(10)
+            page.close()
+            scratch.release()
+        assert not trusted.is_alive()
+        # three RETURNs, and the request of each relayed send
+        assert events.count("write") == 3 + sends
+        assert _handed_over_at_each_post(events)
 
 
 def _relay_args(supplicant, command, handle, args):

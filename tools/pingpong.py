@@ -10,7 +10,12 @@ between this process and an echo process it forks, one of two ways:
   frame);
 - ``slot``: the process channel's ports, framed by
   ``context.write_message`` and ``context.read_message``: each direction
-  is a header slot in one shared page and a semaphore.
+  is a header slot in one shared page and a semaphore. Each side yields
+  its core (``context._yield``) after each post, before it reads again,
+  as the relay's writers hand the core over at the post; so pinned, the
+  slot leg times the crossing the relay makes. Checkouts up to f025dfb
+  read straight after the post, so their slot figures time a read that
+  first finds no frame and then yields.
 
 Each way runs pinned, both processes on one core as ``bench/run.py``
 pins them, and the slot also runs unpinned, on every core this process
@@ -75,10 +80,19 @@ def slot_rtt_us(rounds: int) -> float:
     page = mmap.mmap(-1, 2 * HEADER_SIZE)
     ping = context._Port(page, 0, lambda: True)  # both ends outlive the legs
     pong = context._Port(page, HEADER_SIZE, lambda: True)
-    write, read = context.write_message, context.read_message
+    write, read, hand_over = (context.write_message, context.read_message,
+                              context._yield)
+
+    def post():
+        write(ping, RETURN)
+        hand_over()
+
+    def echo():
+        write(pong, *read(ping))
+        hand_over()
+
     try:
-        return _timed(rounds, lambda: write(ping, RETURN), lambda: read(pong),
-                      lambda: write(pong, *read(ping)))
+        return _timed(rounds, post, lambda: read(pong), echo)
     finally:
         page.close()
 
